@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "apps/testbed.hpp"
+#include "manager/default_rules.hpp"
 
 using namespace softqos;
 

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "apps/testbed.hpp"
-#include "instrument/sensors.hpp"
-#include "instrument/timer_wheel.hpp"
 #include "sim/rollup.hpp"
 #include "sim/simulation.hpp"
 
@@ -305,45 +303,6 @@ void TraceDisabledLazy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(TraceDisabledLazy);
-
-// Sensor-poll batching (the SensorTimerWheel's reason to exist): N sensors
-// polled at a 50 ms cadence for one simulated second per iteration, first
-// with one kernel periodic per sensor, then all batched onto one wheel.
-// Compare the two at equal N — the wheel turns N heap-churning periodics
-// into a single one.
-void SensorPollIndependent(benchmark::State& state) {
-  const auto sensors = static_cast<std::size_t>(state.range(0));
-  sim::Simulation s;
-  std::vector<std::unique_ptr<instrument::GaugeSensor>> pool;
-  for (std::size_t i = 0; i < sensors; ++i) {
-    pool.push_back(std::make_unique<instrument::GaugeSensor>(
-        s, "g" + std::to_string(i), "attr"));
-    pool.back()->setTickInterval(sim::msec(50));
-  }
-  for (auto _ : state) {
-    s.runUntil(s.now() + sim::sec(1));
-  }
-  state.SetItemsProcessed(state.iterations() * sensors * 20);  // polls
-}
-BENCHMARK(SensorPollIndependent)->Arg(16)->Arg(256);
-
-void SensorPollWheel(benchmark::State& state) {
-  const auto sensors = static_cast<std::size_t>(state.range(0));
-  sim::Simulation s;
-  instrument::SensorTimerWheel wheel(s, sim::msec(50));
-  std::vector<std::unique_ptr<instrument::GaugeSensor>> pool;
-  for (std::size_t i = 0; i < sensors; ++i) {
-    pool.push_back(std::make_unique<instrument::GaugeSensor>(
-        s, "g" + std::to_string(i), "attr"));
-    wheel.add(*pool.back(), sim::msec(50));
-  }
-  for (auto _ : state) {
-    s.runUntil(s.now() + sim::sec(1));
-  }
-  benchmark::DoNotOptimize(wheel.polls());
-  state.SetItemsProcessed(state.iterations() * sensors * 20);  // polls
-}
-BENCHMARK(SensorPollWheel)->Arg(16)->Arg(256);
 
 // End-to-end: the fig3 testbed (video + managers + cross traffic) for one
 // simulated second, construction included.

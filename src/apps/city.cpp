@@ -13,6 +13,28 @@ namespace softqos::apps {
 
 namespace {
 
+constexpr double kEdgeMbit = 100.0;    // host / manager access links
+constexpr double kUplinkMbit = 400.0;  // tor -> agg -> core trunks
+/// Coordinator report cadence per process (violation/clear transitions
+/// drawn from a per-host deterministic stream).
+constexpr sim::SimDuration kReportInterval = sim::msec(250);
+/// Paced intra-rack host-to-host traffic (keeps the channels and the
+/// planner's affinity graph honest).
+constexpr sim::SimDuration kTrafficInterval = sim::msec(25);
+constexpr std::int64_t kTrafficBytes = 4096;
+/// Host-manager self-telemetry publish period (to the rack manager).
+constexpr sim::SimDuration kTelemetryInterval = sim::msec(500);
+/// Upward republish period at every non-root domain manager.
+constexpr sim::SimDuration kAggregationInterval = sim::msec(500);
+/// Shard-safe channel sampling period at the rack managers.
+constexpr sim::SimDuration kChannelPollInterval = sim::msec(250);
+/// Contract-plane camera sessions (capped at the host count).
+constexpr int kContractSessions = 3;
+
+/// Affinity weight of one paced traffic pair: its bytes per second.
+constexpr double kTrafficWeight =
+    static_cast<double>(kTrafficBytes) / sim::toSeconds(kTrafficInterval);
+
 net::ChannelConfig channelMbit(double mbit) {
   net::ChannelConfig cfg;
   cfg.bytesPerSecond = mbit * 1e6 / 8.0;
@@ -67,19 +89,14 @@ net::ShardPlanner City::affinityGraph(const CityConfig& config) {
   planner.addNode("@management",
                   static_cast<double>(config.racks * config.processesPerHost));
   planner.pin("@management", 0);
-  const double trafficWeight =
-      config.trafficInterval > 0
-          ? static_cast<double>(config.trafficBytes) /
-                sim::toSeconds(config.trafficInterval)
-          : 0.0;
   for (int r = 0; r < config.racks; ++r) {
     for (int i = 0; i < config.hostsPerRack; ++i) {
       planner.addNode(hostName(r, i),
                       static_cast<double>(config.processesPerHost));
-      if (trafficWeight > 0 && config.hostsPerRack > 1) {
+      if (config.hostsPerRack > 1) {
         planner.addEdge(hostName(r, i),
                         hostName(r, (i + 1) % config.hostsPerRack),
-                        trafficWeight);
+                        kTrafficWeight);
       }
     }
   }
@@ -136,18 +153,13 @@ City::City(CityConfig config)
               static_cast<sim::ShardId>(1 + (k % spread)));
         }
       }
-      const double trafficWeight =
-          config_.trafficInterval > 0
-              ? static_cast<double>(config_.trafficBytes) /
-                    sim::toSeconds(config_.trafficInterval)
-              : 0.0;
-      if (trafficWeight > 0 && config_.hostsPerRack > 1) {
+      if (config_.hostsPerRack > 1) {
         for (int r = 0; r < config_.racks; ++r) {
           for (int i = 0; i < config_.hostsPerRack; ++i) {
-            plan_.totalEdgeWeight += trafficWeight;
+            plan_.totalEdgeWeight += kTrafficWeight;
             if (plan_.shardOf(hostName(r, i)) !=
                 plan_.shardOf(hostName(r, (i + 1) % config_.hostsPerRack))) {
-              plan_.crossShardWeight += trafficWeight;
+              plan_.crossShardWeight += kTrafficWeight;
             }
           }
         }
@@ -207,44 +219,43 @@ void City::buildTopology() {
     net::Nic& nic = network.attachHost(*hosts_[h]);
     nic.setShard(hosts_[h]->shard());
     network.link(nic, *tors_[h / static_cast<std::size_t>(config_.hostsPerRack)],
-                 channelMbit(config_.edgeMbit));
+                 channelMbit(kEdgeMbit));
   }
   for (int r = 0; r < config_.racks; ++r) {
     net::Nic& nic = network.attachHost(*seats_[static_cast<std::size_t>(r)]);
     network.link(nic, *tors_[static_cast<std::size_t>(r)],
-                 channelMbit(config_.edgeMbit));
+                 channelMbit(kEdgeMbit));
   }
   if (config_.tiers == 3) {
     for (int r = 0; r < config_.racks; ++r) {
       network.link(*tors_[static_cast<std::size_t>(r)],
                    *aggs_[static_cast<std::size_t>(r / config_.racksPerCluster)],
-                   channelMbit(config_.uplinkMbit));
+                   channelMbit(kUplinkMbit));
     }
     for (int c = 0; c < clusters; ++c) {
       net::Nic& nic = network.attachHost(
           *seats_[static_cast<std::size_t>(config_.racks + c)]);
       network.link(nic, *aggs_[static_cast<std::size_t>(c)],
-                   channelMbit(config_.edgeMbit));
+                   channelMbit(kEdgeMbit));
       network.link(*aggs_[static_cast<std::size_t>(c)], *core_,
-                   channelMbit(config_.uplinkMbit));
+                   channelMbit(kUplinkMbit));
     }
   } else {
     for (int r = 0; r < config_.racks; ++r) {
       network.link(*tors_[static_cast<std::size_t>(r)], *core_,
-                   channelMbit(config_.uplinkMbit));
+                   channelMbit(kUplinkMbit));
     }
   }
   net::Nic& rootNic = network.attachHost(*seats_.back());
-  network.link(rootNic, *core_, channelMbit(config_.edgeMbit));
+  network.link(rootNic, *core_, channelMbit(kEdgeMbit));
 }
 
 void City::buildManagers() {
   const int clusters = static_cast<int>(aggs_.size());
 
   manager::HostManagerConfig hmCfg;
-  hmCfg.partitionByApplication = config_.partitionWorkingMemory;
-  hmCfg.telemetryInterval = config_.telemetryInterval;
-  if (config_.telemetryInterval > 0) hmCfg.slos = obs::defaultManagementSlos();
+  hmCfg.telemetryInterval = kTelemetryInterval;
+  hmCfg.slos = obs::defaultManagementSlos();
   // Contract sessions are probed through their host's manager, so every
   // manager must know the agent's seat at construction time.
   if (config_.contractPlane) hmCfg.contractAgentHost = "root-host";
@@ -259,9 +270,9 @@ void City::buildManagers() {
   // through the shard-safe monitor. Leaf alarms may climb tiers-1 hops.
   for (int r = 0; r < config_.racks; ++r) {
     manager::DomainManagerConfig dmCfg;
-    dmCfg.aggregationInterval = config_.aggregationInterval;
+    dmCfg.aggregationInterval = kAggregationInterval;
     dmCfg.maxEscalationHops = config_.tiers - 1;
-    dmCfg.channelPollInterval = config_.channelPollInterval;
+    dmCfg.channelPollInterval = kChannelPollInterval;
     dmCfg.parentHost = config_.tiers == 3
                            ? clusterSeatName(r / config_.racksPerCluster)
                            : std::string("root-host");
@@ -277,7 +288,7 @@ void City::buildManagers() {
   if (config_.tiers == 3) {
     for (int c = 0; c < clusters; ++c) {
       manager::DomainManagerConfig dmCfg;
-      dmCfg.aggregationInterval = config_.aggregationInterval;
+      dmCfg.aggregationInterval = kAggregationInterval;
       dmCfg.maxEscalationHops = config_.tiers - 1;
       dmCfg.parentHost = "root-host";
       clusterDms_.push_back(&qorms.createDomainManager(
@@ -311,13 +322,13 @@ void City::startWorkloads() {
       // Distinct per-driver phases keep simultaneous arrivals at shared
       // managers apart, so event order is fixed by timestamps alone — the
       // property that lets a sharded run replay the serial kernel exactly.
-      sim.at(config_.reportInterval + sim::usec(131 * (idx + 1)),
+      sim.at(kReportInterval + sim::usec(131 * (idx + 1)),
              [this, idx] { reportTick(idx); });
     }
-    if (config_.trafficInterval > 0 && config_.hostsPerRack > 1) {
+    if (config_.hostsPerRack > 1) {
       const int rack = static_cast<int>(h) / config_.hostsPerRack;
       const int i = static_cast<int>(h) % config_.hostsPerRack;
-      sim.at(config_.trafficInterval + sim::usec(53 * (h + 1) + 11),
+      sim.at(kTrafficInterval + sim::usec(53 * (h + 1) + 11),
              [this, rack, i] { trafficTick(rack, i); });
     }
   }
@@ -369,17 +380,17 @@ void City::reportTick(std::size_t idx) {
       episodeCtx_[idx] = sim::TraceContext{};
     }
   }
-  sim.after(config_.reportInterval, [this, idx] { reportTick(idx); });
+  sim.after(kReportInterval, [this, idx] { reportTick(idx); });
 }
 
 void City::trafficTick(int rack, int i) {
   osim::Message m;
   m.kind = "pay";
-  m.bytes = config_.trafficBytes;
+  m.bytes = kTrafficBytes;
   network.sendToHost(hostName(rack, i),
                      hostName(rack, (i + 1) % config_.hostsPerRack),
                      kTrafficPort, std::move(m));
-  sim.after(config_.trafficInterval, [this, rack, i] { trafficTick(rack, i); });
+  sim.after(kTrafficInterval, [this, rack, i] { trafficTick(rack, i); });
 }
 
 std::uint64_t City::run(sim::SimDuration span) {
@@ -423,7 +434,7 @@ void City::startContractPlane() {
   // hosts. Pids are per-host and the agent keys sessions by pid
   // domain-wide, so each host pads its pid space to keep the daemons' pids
   // distinct (colliding pids would read as re-registrations).
-  const int sessions = std::min(config_.contractSessions, hostCount());
+  const int sessions = std::min(kContractSessions, hostCount());
   for (int i = 0; i < sessions; ++i) {
     const std::size_t h = static_cast<std::size_t>(
         (i % config_.racks) * config_.hostsPerRack +

@@ -50,21 +50,6 @@ struct CityConfig {
   /// ("VideoPlayer") workloads. Each process gets a coordinator-report
   /// driver and contributes CPU demand to its host.
   int processesPerHost = 2;
-  double edgeMbit = 100.0;    // host / manager access links
-  double uplinkMbit = 400.0;  // tor -> agg -> core trunks
-  /// Coordinator report cadence per process (violation/clear transitions
-  /// drawn from a per-host deterministic stream).
-  sim::SimDuration reportInterval = sim::msec(250);
-  /// Paced intra-rack host-to-host traffic (keeps the channels and the
-  /// planner's affinity graph honest). 0 disables.
-  sim::SimDuration trafficInterval = sim::msec(25);
-  std::int64_t trafficBytes = 4096;
-  /// Host-manager self-telemetry publish period (to the rack manager).
-  sim::SimDuration telemetryInterval = sim::msec(500);
-  /// Upward republish period at every non-root domain manager.
-  sim::SimDuration aggregationInterval = sim::msec(500);
-  /// Shard-safe channel sampling period at the rack managers.
-  sim::SimDuration channelPollInterval = sim::msec(250);
   /// Total shard count — FIXED while `workers` varies, so every worker
   /// count executes the identical schedule. 0 selects the historical
   /// serial kernel (single event queue, no windowing).
@@ -75,8 +60,6 @@ struct CityConfig {
   /// the management plane to shard 0). false: round-robin hand placement,
   /// the baseline the planner is judged against.
   bool usePlanner = true;
-  /// Partition every host manager's working memory by application pid.
-  bool partitionWorkingMemory = true;
   /// Attach an obs::TraceSampler (tail-based sampling): the report drivers
   /// mint "episode:frame_rate" traces the managers' diagnosis/actuation
   /// spans nest under, per-shard buffers are flushed at every run()
@@ -85,13 +68,12 @@ struct CityConfig {
   /// default — a city without it runs byte-identically to earlier builds.
   bool sampling = false;
   obs::SamplerConfig samplerConfig;
-  /// Arm the QoS contract plane: `contractSessions` camera offerer sessions
-  /// (spread over the racks, descending ownership strength) admitted
-  /// through the policy agent's RxO matcher, liveliness-probed over RPC
-  /// from the root seat, and captured by a contract-plane flight recorder.
-  /// Off by default — byte-identical to earlier builds.
+  /// Arm the QoS contract plane: three camera offerer sessions (spread over
+  /// the racks, descending ownership strength) admitted through the policy
+  /// agent's RxO matcher, liveliness-probed over RPC from the root seat, and
+  /// captured by a contract-plane flight recorder. Off by default —
+  /// byte-identical to earlier builds.
   bool contractPlane = false;
-  int contractSessions = 3;
 };
 
 /// The full city: topology, managers, workload drivers. Construction builds

@@ -10,6 +10,9 @@ namespace softqos::apps {
 
 namespace {
 
+constexpr double kEdgeMbit = 100.0;  // host and management access links
+constexpr double kPolicyJitterMax = 1.25;  // video policy: jitter < 1.25
+
 net::ChannelConfig channelMbit(double mbit) {
   net::ChannelConfig cfg;
   cfg.bytesPerSecond = mbit * 1e6 / 8.0;
@@ -68,24 +71,24 @@ Testbed::Testbed(TestbedConfig config)
   clientNic.setShard(clientShard_);
   serverNic.setShard(serverShard_);
 
-  network.link(clientNic, swA, channelMbit(config_.edgeMbit));
+  network.link(clientNic, swA, channelMbit(kEdgeMbit));
   // The management host reaches both switches directly (a management VLAN):
   // manager-to-manager RPC must not share the experiment bottleneck, or a
   // congested fabric would make every healthy server look dead.
-  network.link(mgmtNic, swA, channelMbit(config_.edgeMbit));
-  network.link(mgmtNic, swB, channelMbit(config_.edgeMbit));
-  network.link(serverNic, swB, channelMbit(config_.edgeMbit));
+  network.link(mgmtNic, swA, channelMbit(kEdgeMbit));
+  network.link(mgmtNic, swB, channelMbit(kEdgeMbit));
+  network.link(serverNic, swB, channelMbit(kEdgeMbit));
   network.link(swA, swB, channelMbit(config_.bottleneckMbit));
   if (config_.redundantPath) {
     // A longer but well-provisioned alternate route the domain manager can
     // fail over to when it diagnoses congestion on the primary link.
-    network.link(swA, swC, channelMbit(config_.edgeMbit));
-    network.link(swC, swB, channelMbit(config_.edgeMbit));
+    network.link(swA, swC, channelMbit(kEdgeMbit));
+    network.link(swC, swB, channelMbit(kEdgeMbit));
   }
   // Cross traffic is injected at swB and sinks behind swA, sharing the
   // server->client direction of the bottleneck with the video stream.
-  network.link(cross, swB, channelMbit(config_.edgeMbit));
-  network.link(sink, swA, channelMbit(config_.edgeMbit));
+  network.link(cross, swB, channelMbit(kEdgeMbit));
+  network.link(sink, swA, channelMbit(kEdgeMbit));
 
   if (config_.withManagers) {
     manager::HostManagerConfig hmCfg;
@@ -111,9 +114,7 @@ Testbed::Testbed(TestbedConfig config)
     }
     manager::DomainManagerConfig dmCfg;
     dmCfg.heartbeatInterval = config_.heartbeatInterval;
-    dmCfg.heartbeatMissThreshold = config_.heartbeatMissThreshold;
     dmCfg.rpcMaxAttempts = config_.rpcMaxAttempts;
-    dmCfg.channelPollInterval = config_.channelPollInterval;
     dm = &qorms.createDomainManager(mgmtHost, "domain-a",
                                     {clientHost.name(), serverHost.name(),
                                      mgmtHost.name()},
@@ -123,7 +124,7 @@ Testbed::Testbed(TestbedConfig config)
     qorms.admin().addPolicyText(
         videoPolicyText("NotifyQoSViolation", config_.policyTargetFps,
                         config_.policyTolUp, config_.policyTolDown,
-                        config_.policyJitterMax),
+                        kPolicyJitterMax),
         "VideoConference", "");
 
     if (config_.contractPlane) {
@@ -161,17 +162,6 @@ VideoSession& Testbed::startVideo(const std::string& role) {
                         video->serverPid());
     serverHm->setRestartHandler(
         [this](osim::Pid) { return video->respawnServer(); });
-  }
-  if (config_.batchSensorTicks) {
-    if (!sensorWheel) {
-      sim::ShardScope scope(sim, clientShard_);
-      sensorWheel = std::make_unique<instrument::SensorTimerWheel>(
-          sim, config_.sensorWheelGranularity);
-    }
-    // Move every self-ticking session sensor onto the shared wheel (one
-    // kernel periodic drives them all) and keep following the registry:
-    // hotplugged sensors land on the wheel, departed ones release slots.
-    sensorWheel->attachRegistry(video->registry());
   }
   return *video;
 }

@@ -16,7 +16,6 @@
 #include "apps/video.hpp"
 #include "apps/video_model.hpp"
 #include "distribution/qorms.hpp"
-#include "instrument/timer_wheel.hpp"
 #include "net/switch.hpp"
 #include "net/traffic.hpp"
 #include "obs/observer.hpp"
@@ -27,18 +26,15 @@ namespace softqos::apps {
 struct TestbedConfig {
   std::uint64_t seed = 1;
   double bottleneckMbit = 10.0;   // inter-switch link
-  double edgeMbit = 100.0;        // host access links
   bool redundantPath = false;     // add swC as an alternate swA<->swB route
-  VideoConfig video;
+  VideoConfig video{};
   bool withManagers = true;       // false: "normal Solaris scheduling"
   double policyTargetFps = 28.0;
   double policyTolUp = 4.0;
   double policyTolDown = 3.0;
-  double policyJitterMax = 1.25;
   // Self-healing knobs for chaos experiments. All default off/single-shot so
   // a testbed without them behaves byte-identically to earlier builds.
   sim::SimDuration heartbeatInterval = 0;  // DM liveness probing (0 = off)
-  int heartbeatMissThreshold = 3;
   sim::SimDuration factTtl = 0;            // HM stale-fact expiry (0 = off)
   int rpcMaxAttempts = 1;                  // management-RPC retry budget
   /// Attach an obs::Observer to the simulation: end-to-end causal tracing of
@@ -52,7 +48,7 @@ struct TestbedConfig {
   /// keeps runs byte-identical to earlier builds.
   sim::SimDuration telemetryInterval = 0;
   /// Override the objectives armed with telemetry (empty: the defaults).
-  std::vector<obs::SloObjective> telemetrySlos;
+  std::vector<obs::SloObjective> telemetrySlos{};
   /// Shard the testbed across `parallelShards` event queues driven by the
   /// windowed conservative engine (shard 0: management host + switch fabric;
   /// shard 1: client host world; shard 2: server host world). 1 (default)
@@ -60,25 +56,16 @@ struct TestbedConfig {
   /// This two-host video testbed keeps its windows on a single worker
   /// thread regardless of shard count: the server's session loop runs on
   /// the client's shard by construction (see VideoSession), so its shards
-  /// are not worker-clean. Multi-threaded execution lives in the City
-  /// testbed (apps/city.hpp), whose host-local workloads are; channel
-  /// polling is shard-safe everywhere via channelPollInterval.
+  /// are not worker-clean, and a single worker also keeps the domain
+  /// manager's inline fabric sweep legal. Multi-threaded execution lives in
+  /// the City testbed (apps/city.hpp), whose host-local workloads are.
   unsigned parallelShards = 1;
-  /// Sample channel utilization through the shard-safe ChannelMonitor on
-  /// this period instead of the domain manager's inline fabric sweep. 0
-  /// (default) keeps the legacy sweep, byte-identical runs.
-  sim::SimDuration channelPollInterval = 0;
   /// Arm the QoS contract plane: seed the video offer/request contracts,
   /// run requested-vs-offered admission in the policy agent (its
   /// "renegotiate" RPC seats on the management host, port 7200), push the
   /// contract rules to both host managers and let rules renegotiate session
   /// tiers under load. Off by default — byte-identical to earlier builds.
   bool contractPlane = false;
-  /// Batch each video session's sensor ticks onto one SensorTimerWheel
-  /// (one kernel periodic driving all sensors) instead of one periodic per
-  /// sensor. Off by default — byte-identical to earlier builds.
-  bool batchSensorTicks = false;
-  sim::SimDuration sensorWheelGranularity = sim::msec(50);
 };
 
 class Testbed {
@@ -109,8 +96,6 @@ class Testbed {
   std::unique_ptr<VideoSession> video;
   /// Non-null when config.observability; attached to `sim` for its lifetime.
   std::unique_ptr<obs::Observer> observer;
-  /// Non-null when config.batchSensorTicks and a video session was started.
-  std::unique_ptr<instrument::SensorTimerWheel> sensorWheel;
 
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
 

@@ -5,6 +5,17 @@
 
 namespace softqos::distribution {
 
+namespace {
+
+/// Port of the QoS Host Manager on session hosts (probe + event target).
+constexpr int kHostManagerPort = 7001;
+/// Missed probes (timeout or alive=0) before liveliness is declared lost.
+constexpr int kLivelinessMissThreshold = 3;
+/// How often a renegotiated-down session retries the full tier.
+constexpr sim::SimDuration kUpgradeRetryInterval = sim::sec(10);
+
+}  // namespace
+
 const char* ContractEvent::kindName() const {
   switch (kind) {
     case Kind::kDegraded: return "degraded";
@@ -341,12 +352,9 @@ void PolicyAgent::bindRpc(net::Network& network, osim::Host& seat, int port) {
 }
 
 void PolicyAgent::startUpgradeRetry(Session& session) {
-  if (upgradeRetryInterval_ <= 0 ||
-      session.upgradeEvent != sim::kInvalidEvent) {
-    return;
-  }
+  if (session.upgradeEvent != sim::kInvalidEvent) return;
   const std::uint32_t pid = session.reg.pid;
-  session.upgradeEvent = sim_.every(upgradeRetryInterval_, [this, pid] {
+  session.upgradeEvent = sim_.every(kUpgradeRetryInterval, [this, pid] {
     const auto it = sessions_.find(pid);
     if (it == sessions_.end()) return;
     if (it->second.currentTier != policy::AdmissionTier::kDegraded) {
@@ -381,7 +389,7 @@ void PolicyAgent::startProbe(Session& session) {
     net::RpcEndpoint::CallOptions options;
     // The reply must land (or time out) before the next lease period.
     options.timeout = std::max<sim::SimDuration>(sim::msec(1), period / 2);
-    rpc_->call(host, hostManagerPort_, "host-stats",
+    rpc_->call(host, kHostManagerPort, "host-stats",
                "pid=" + std::to_string(pid),
                [this, pid](bool ok, const std::string& body) {
                  handleProbeReply(pid, ok, body);
@@ -399,7 +407,9 @@ void PolicyAgent::handleProbeReply(std::uint32_t pid, bool ok,
     it->second.missedProbes = 0;
     return;
   }
-  if (++it->second.missedProbes >= missThreshold_) markLivelinessLost(pid);
+  if (++it->second.missedProbes >= kLivelinessMissThreshold) {
+    markLivelinessLost(pid);
+  }
 }
 
 void PolicyAgent::markLivelinessLost(std::uint32_t pid) {
@@ -509,7 +519,7 @@ void PolicyAgent::emitEvent(ContractEvent event) {
     return;
   }
   if (rpc_ != nullptr && !event.hostName.empty()) {
-    rpc_->notify(event.hostName, hostManagerPort_, "contract-event",
+    rpc_->notify(event.hostName, kHostManagerPort, "contract-event",
                  event.serialize());
   }
 }

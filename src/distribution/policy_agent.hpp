@@ -138,12 +138,6 @@ class PolicyAgent {
   /// contract-event notifications.
   void bindRpc(net::Network& network, osim::Host& seat, int port = 7200);
 
-  /// Port of the QoS Host Manager on session hosts (probe + event target).
-  void setHostManagerPort(int port) { hostManagerPort_ = port; }
-
-  /// Missed probes (timeout or alive=0) before liveliness is declared lost.
-  void setLivelinessMissThreshold(int misses) { missThreshold_ = misses; }
-
   /// Attach a contract-plane flight recorder (nullptr detaches): every
   /// admission decision, renegotiation, liveliness loss and ownership move
   /// is recorded (log + metrics + optional spans), and per-session tier
@@ -154,17 +148,6 @@ class PolicyAgent {
   }
   [[nodiscard]] obs::FlightRecorder* flightRecorder() const {
     return flightRecorder_;
-  }
-
-  /// How often a renegotiated-down session optimistically retries the full
-  /// tier. Downgrades are evidence-driven (the host manager's rules see the
-  /// violation), but once the relaxed floors are satisfied the stream goes
-  /// quiet — no violation, no cleared report — so recovery needs a probe:
-  /// the agent retries "up", and if the upgrade was premature the next
-  /// violation degrades the session again. 0 disables retrying (a degraded
-  /// session then only upgrades on an explicit cleared signal).
-  void setUpgradeRetryInterval(sim::SimDuration interval) {
-    upgradeRetryInterval_ = interval;
   }
 
   /// Renegotiate a live session: down degrades a full-tier session to its
@@ -248,7 +231,11 @@ class PolicyAgent {
   void applyTier(Session& session);
   void startProbe(Session& session);
   /// Arm / disarm the periodic full-tier retry for a renegotiated-down
-  /// session (see setUpgradeRetryInterval).
+  /// session. Downgrades are evidence-driven (the host manager's rules see
+  /// the violation), but once the relaxed floors are satisfied the stream
+  /// goes quiet — no violation, no cleared report — so recovery needs a
+  /// probe: the agent retries "up", and if the upgrade was premature the
+  /// next violation degrades the session again.
   void startUpgradeRetry(Session& session);
   void stopUpgradeRetry(Session& session);
   void handleProbeReply(std::uint32_t pid, bool ok, const std::string& body);
@@ -271,9 +258,6 @@ class PolicyAgent {
   std::map<std::string, std::uint32_t> owners_;  // offered contract -> owner
   std::unique_ptr<net::RpcEndpoint> rpc_;
   ContractEventSink sink_;
-  int hostManagerPort_ = 7001;
-  int missThreshold_ = 3;
-  sim::SimDuration upgradeRetryInterval_ = sim::sec(10);
   int nextComparisonId_ = 1;
   std::uint64_t registrations_ = 0;
   std::uint64_t pushes_ = 0;

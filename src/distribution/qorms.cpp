@@ -1,5 +1,7 @@
 #include "distribution/qorms.hpp"
 
+#include "manager/default_rules.hpp"
+
 namespace softqos::distribution {
 
 Qorms::Qorms(sim::Simulation& simulation, net::Network& network)

@@ -1,8 +1,8 @@
 // Per-process registry of instrumentation components. Probes and the
 // coordinator look sensors/actuators up by id; policy compilation resolves
 // attributes to the sensor monitoring them. Sensors may appear and disappear
-// at run time (hotplug): listeners — the coordinator, a timer wheel — are
-// told on every add/remove so comparisons and poll slots follow the fleet.
+// at run time (hotplug): listeners such as the coordinator are told on every
+// add/remove so comparisons follow the fleet.
 #pragma once
 
 #include <map>

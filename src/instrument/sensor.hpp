@@ -76,16 +76,6 @@ class Sensor {
   void setTickInterval(sim::SimDuration interval);
   [[nodiscard]] sim::SimDuration tickInterval() const { return tickInterval_; }
 
-  /// Drive one evaluation cycle from an external scheduler (a
-  /// SensorTimerWheel that batches many sensors onto one kernel event);
-  /// equivalent to one firing of the internal periodic tick. A disabled
-  /// sensor ignores the poll.
-  void pollNow() {
-    if (!enabled_) return;
-    onTick();
-    evaluate(currentValue());
-  }
-
   [[nodiscard]] std::uint64_t alarmsRaised() const { return alarms_; }
   [[nodiscard]] std::uint64_t clearsRaised() const { return clears_; }
   [[nodiscard]] std::uint64_t observations() const { return observations_; }

@@ -4,12 +4,24 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "manager/default_rules.hpp"
 #include "net/nic.hpp"
 #include "rules/parser.hpp"
 
 namespace softqos::manager {
 
 using rules::Value;
+
+namespace {
+
+/// Timeout of one diagnosis / corrective RPC attempt.
+constexpr sim::SimDuration kRpcTimeout = sim::sec(2);
+/// Timeout of one heartbeat probe.
+constexpr sim::SimDuration kHeartbeatTimeout = sim::msec(500);
+/// Consecutive missed probes before a host-failure hypothesis is asserted.
+constexpr int kHeartbeatMissThreshold = 3;
+
+}  // namespace
 
 QoSDomainManager::QoSDomainManager(sim::Simulation& simulation,
                                    osim::Host& seat, net::Network& network,
@@ -24,7 +36,7 @@ QoSDomainManager::QoSDomainManager(sim::Simulation& simulation,
           simulation.localMetrics().histogramHandle("rules.fire_wall_ns")) {
   registerEngineFunctions();
   installFireHooks();
-  if (config_.loadDefaultRules) loadDefaultRules();
+  loadDefaultRules();
 
   rpc_ = std::make_unique<net::RpcEndpoint>(network_, seat, config_.rpcPort);
   rpc_->setHandler("escalate", [this](const std::string& body,
@@ -93,7 +105,7 @@ void QoSDomainManager::addManagedHost(const std::string& hostName) {
 
 net::RpcEndpoint::CallOptions QoSDomainManager::rpcOptions() const {
   net::RpcEndpoint::CallOptions options;
-  options.timeout = config_.rpcTimeout;
+  options.timeout = kRpcTimeout;
   options.maxAttempts = config_.rpcMaxAttempts;
   return options;
 }
@@ -113,7 +125,7 @@ void QoSDomainManager::pingManagedHosts() {
     lv.probePending = true;
     ++heartbeatsSent_;
     net::RpcEndpoint::CallOptions probe;
-    probe.timeout = config_.heartbeatTimeout;
+    probe.timeout = kHeartbeatTimeout;
     probe.maxAttempts = 1;  // misses ARE the signal; retries would blunt it
     rpc_->call(hostName, config_.hostManagerPort, "hm-ping", "",
                [this, hostName](bool ok, const std::string&) {
@@ -139,7 +151,7 @@ void QoSDomainManager::onHeartbeatReply(const std::string& hostName, bool ok) {
   // deployment must not diagnose half its fleet dead before daemons finish
   // starting.
   if (!lv.everAlive || lv.down) return;
-  if (lv.consecutiveMisses >= config_.heartbeatMissThreshold) {
+  if (lv.consecutiveMisses >= kHeartbeatMissThreshold) {
     markHostDown(hostName);
   }
 }
@@ -251,7 +263,7 @@ std::vector<std::string> QoSDomainManager::loadRuleText(const std::string& text)
 }
 
 void QoSDomainManager::loadDefaultRules() {
-  loadRuleText(defaultDomainRules(config_.thresholds));
+  loadRuleText(defaultDomainRules());
 }
 
 void QoSDomainManager::distributeHostRules(const std::string& ruleText) {
@@ -409,11 +421,6 @@ void QoSDomainManager::rerouteAroundCongestion() {
   }
   ++reroutes_;
   sim_.info(traceName_, "rerouted traffic around congested link");
-}
-
-void QoSDomainManager::handleEscalation(
-    const instrument::ViolationReport& report, bool forwarded) {
-  handleEscalation(report, forwarded ? 1 : 0);
 }
 
 void QoSDomainManager::forwardEscalation(

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "instrument/report.hpp"
-#include "manager/default_rules.hpp"
 #include "net/monitor.hpp"
 #include "net/rpc.hpp"
 #include "osim/host.hpp"
@@ -28,21 +27,16 @@ namespace softqos::manager {
 struct DomainManagerConfig {
   int rpcPort = 7100;
   int hostManagerPort = 7001;  // where host managers listen in this domain
-  DomainRuleThresholds thresholds;
-  bool loadDefaultRules = true;
   /// Heartbeat/liveness protocol over the managed Host Managers: every
   /// `heartbeatInterval` the domain manager probes each managed host's
-  /// manager daemon ("hm-ping"); `heartbeatMissThreshold` consecutive
-  /// unanswered probes on a host that has answered at least once assert a
-  /// `host-failure` hypothesis fact for the rule base. 0 disables the
-  /// protocol entirely (default: no new events, byte-identical runs).
+  /// manager daemon ("hm-ping"); three consecutive unanswered probes on a
+  /// host that has answered at least once assert a `host-failure`
+  /// hypothesis fact for the rule base. 0 disables the protocol entirely
+  /// (default: no new events, byte-identical runs).
   sim::SimDuration heartbeatInterval = 0;
-  sim::SimDuration heartbeatTimeout = sim::msec(500);
-  int heartbeatMissThreshold = 3;
   /// Retry policy for diagnosis/corrective RPCs (host-stats, boost,
   /// restart): attempts = 1 reproduces the old single-shot behaviour.
   int rpcMaxAttempts = 1;
-  sim::SimDuration rpcTimeout = sim::sec(2);
 
   // ---- Domain-of-domains tree (rack -> cluster -> region) ----
   /// Seat of the parent domain manager (empty: this manager is a root, the
@@ -104,11 +98,9 @@ class QoSDomainManager {
   /// distribution, Section 9).
   void distributeHostRules(const std::string& ruleText);
 
-  /// Direct entry point (also wired to the "escalate" RPC method).
-  /// `forwarded` marks a report that already took one hop (legacy two-tier
-  /// protocol); the hop-counted overload serves the management tree.
-  void handleEscalation(const instrument::ViolationReport& report,
-                        bool forwarded);
+  /// Direct entry point (also wired to the "escalate" RPC method). `hops`
+  /// counts the forwards the report already took (0 for a host manager's
+  /// own escalation).
   void handleEscalation(const instrument::ViolationReport& report, int hops);
 
   // ---- Heartbeat / liveness (Section 5-6 fault localization) ----

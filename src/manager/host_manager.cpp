@@ -3,11 +3,22 @@
 #include <algorithm>
 #include <sstream>
 
+#include "manager/default_rules.hpp"
 #include "rules/parser.hpp"
 
 namespace softqos::manager {
 
 using rules::Value;
+
+namespace {
+
+/// Timeout of one escalation / renegotiation RPC attempt.
+constexpr sim::SimDuration kEscalationTimeout = sim::sec(2);
+/// Retained self-telemetry rollup windows (must cover the longest SLO
+/// window).
+constexpr std::size_t kTelemetryMaxWindows = 64;
+
+}  // namespace
 
 QoSHostManager::QoSHostManager(sim::Simulation& simulation, osim::Host& host,
                                net::Network* network, HostManagerConfig config)
@@ -22,8 +33,12 @@ QoSHostManager::QoSHostManager(sim::Simulation& simulation, osim::Host& host,
           simulation.localMetrics().histogramHandle("rules.fire_wall_ns")) {
   registerEngineFunctions();
   installFireHooks();
-  if (config_.partitionByApplication) engine_.setPartitionSlot("pid");
-  if (config_.loadDefaultRules) loadDefaultRules();
+  // Working memory is keyed by application pid, so rule joins for one
+  // application never scan another's facts. Firing order is identical to
+  // an unpartitioned engine: the engine derives partition scope per join
+  // position.
+  engine_.setPartitionSlot("pid");
+  loadDefaultRules();
 
   // Coordinators reach the manager through the host message queue.
   installQueueReceiver();
@@ -49,7 +64,7 @@ void QoSHostManager::setupTelemetry() {
 
   sim::RollupConfig rollupCfg;
   rollupCfg.window = config_.telemetryInterval;
-  rollupCfg.maxWindows = std::max<std::size_t>(1, config_.telemetryMaxWindows);
+  rollupCfg.maxWindows = kTelemetryMaxWindows;
   t.rollup = std::make_unique<sim::RollupWindow>(sim_, t.registry, rollupCfg);
 
   t.reports = t.registry.counterHandle("hm.reports");
@@ -262,7 +277,7 @@ std::vector<std::string> QoSHostManager::loadRuleText(const std::string& text) {
 }
 
 void QoSHostManager::loadDefaultRules() {
-  loadRuleText(defaultHostRules(config_.thresholds));
+  loadRuleText(defaultHostRules());
 }
 
 void QoSHostManager::registerEngineFunctions() {
@@ -576,7 +591,7 @@ void QoSHostManager::requestRenegotiation(std::uint32_t pid, bool down) {
   lastRenegotiationAt_[pid] = sim_.now();
   markActuation(down ? "renegotiate-down" : "renegotiate-up");
   net::RpcEndpoint::CallOptions options;
-  options.timeout = config_.escalationTimeout;
+  options.timeout = kEscalationTimeout;
   options.maxAttempts = config_.escalationMaxAttempts;
   options.context = activeCtx_;
   rpc_->call(config_.contractAgentHost, config_.contractAgentPort,
@@ -737,7 +752,7 @@ void QoSHostManager::escalate(std::uint32_t pid) {
   const auto it = lastReport_.find(pid);
   if (it == lastReport_.end()) return;
   net::RpcEndpoint::CallOptions options;
-  options.timeout = config_.escalationTimeout;
+  options.timeout = kEscalationTimeout;
   options.maxAttempts = config_.escalationMaxAttempts;
   // Escalation happens inside the diagnosis span (the engine function runs
   // synchronously under handleReport); the RPC layer opens the call span.

@@ -14,7 +14,6 @@
 
 #include "instrument/control.hpp"
 #include "instrument/report.hpp"
-#include "manager/default_rules.hpp"
 #include "manager/resource_manager.hpp"
 #include "net/rpc.hpp"
 #include "obs/slo.hpp"
@@ -30,14 +29,6 @@ struct HostManagerConfig {
   int rpcPort = 7001;            // where domain managers reach this manager
   std::string domainManagerHost; // empty: no escalation possible
   int domainManagerPort = 7100;
-  HostRuleThresholds thresholds;
-  bool loadDefaultRules = true;
-  /// Partition the engine's working memory by the "pid" slot so rule joins
-  /// for one application never scan another application's facts — the
-  /// scaling knob for hosts managing thousands of sessions. Matching results
-  /// are byte-identical either way (the engine derives partition scope per
-  /// join position); default off to keep the seed configuration untouched.
-  bool partitionByApplication = false;
   /// Working-memory staleness bound: session facts (violation / metric /
   /// proc-stat / alloc-state) for a pid whose coordinator has gone silent
   /// for this long are retracted, so a crashed process's last sensor
@@ -47,7 +38,6 @@ struct HostManagerConfig {
   /// Retry policy for escalation RPCs to the domain manager (attempts = 1
   /// reproduces the old fire-and-forget timeout behaviour).
   int escalationMaxAttempts = 1;
-  sim::SimDuration escalationTimeout = sim::sec(2);
   /// Streaming self-telemetry: when > 0 the manager keeps a windowed rollup
   /// of its own behaviour (detect->recover latency, violation-episode rate,
   /// fact-repository depth, RPC retry pressure, rule-firing wall cost) in a
@@ -56,8 +46,6 @@ struct HostManagerConfig {
   /// default) disables everything: no events, no recording, byte-identical
   /// runs.
   sim::SimDuration telemetryInterval = 0;
-  /// Retained rollup windows (must cover the longest SLO window).
-  std::size_t telemetryMaxWindows = 64;
   /// Objectives evaluated over the rollup each window. Breaches assert an
   /// `slo-breach` fact into working memory (retracted on recovery), so the
   /// rule base reacts to the manager missing its own objectives.

@@ -300,20 +300,6 @@ std::string chromeTraceJson(const TraceSampler& sampler) {
   return out;
 }
 
-std::string metricsJson(const sim::MetricRegistry& metrics) {
-  std::string out;
-  out += "{\n";
-  appendMetricsBody(out, metrics);
-  out += "\n}\n";
-  return out;
-}
-
-std::string metricsJson(const sim::MetricRegistry& metrics,
-                        const sim::Trace* trace, const Observer* observer,
-                        const TraceSampler* sampler) {
-  return metricsJson(metrics, trace, observer, sampler, nullptr);
-}
-
 std::string metricsJson(const sim::MetricRegistry& metrics,
                         const sim::Trace* trace, const Observer* observer,
                         const TraceSampler* sampler,
@@ -559,10 +545,6 @@ std::string latencyBudgetJson(const CriticalPathAnalyzer& analyzer,
   }
   out += "\n]\n}\n";
   return out;
-}
-
-std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry) {
-  return domainMetricsJson(telemetry, nullptr);
 }
 
 std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,

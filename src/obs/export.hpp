@@ -45,25 +45,16 @@ namespace softqos::obs {
 /// [lower_bound, count] pairs — and, when present, per-bucket exemplars as
 /// {bucket lower bound, trace id, value, when} — so offline tooling can
 /// recompute any quantile or jump from a bucket to a retained trace.
-[[nodiscard]] std::string metricsJson(const sim::MetricRegistry& metrics);
-
-/// metricsJson plus an "observability" section surfacing the ring-drop
-/// counters of every attached plane: the sim::Trace record ring, the
-/// span-store Observer and the tail sampler (any may be null). Silent
-/// truncation is thereby visible in the export itself.
-[[nodiscard]] std::string metricsJson(const sim::MetricRegistry& metrics,
-                                      const sim::Trace* trace,
-                                      const Observer* observer,
-                                      const TraceSampler* sampler);
-
-/// metricsJson whose "observability" section additionally carries the
-/// critical-path analyzer's counters (episodes analyzed, incomplete trees
-/// skipped, orphan spans) under "analyzer".
-[[nodiscard]] std::string metricsJson(const sim::MetricRegistry& metrics,
-                                      const sim::Trace* trace,
-                                      const Observer* observer,
-                                      const TraceSampler* sampler,
-                                      const CriticalPathAnalyzer* analyzer);
+///
+/// When any plane is given, an "observability" section surfaces its
+/// ring-drop counters: the sim::Trace record ring, the span-store Observer
+/// and the tail sampler, plus the critical-path analyzer's counters
+/// (episodes analyzed, incomplete trees skipped, orphan spans) under
+/// "analyzer". Silent truncation is thereby visible in the export itself.
+[[nodiscard]] std::string metricsJson(
+    const sim::MetricRegistry& metrics, const sim::Trace* trace = nullptr,
+    const Observer* observer = nullptr, const TraceSampler* sampler = nullptr,
+    const CriticalPathAnalyzer* analyzer = nullptr);
 
 /// The critical-path analyzer's full result set as a JSON object: analyzer
 /// counters, the end-to-end reaction histogram, per-segment histograms in
@@ -97,15 +88,12 @@ struct BudgetTarget {
 /// The domain manager's aggregated telemetry (host-manager rollup windows
 /// merged across sources) as a JSON object: domain-wide counter totals,
 /// merged histograms, and the latest published window per source host.
+/// With a sampler, each exported exemplar additionally carries
+/// "sampled_trace", the canonical id of the retained trace it links to (0
+/// when the trace was dropped by the retention policy).
 [[nodiscard]] std::string domainMetricsJson(
-    const sim::TelemetryAggregator& telemetry);
-
-/// domainMetricsJson with exemplar trace ids resolved through the sampler:
-/// each exported exemplar additionally carries "sampled_trace", the
-/// canonical id of the retained trace it links to (0 when the trace was
-/// dropped by the retention policy).
-[[nodiscard]] std::string domainMetricsJson(
-    const sim::TelemetryAggregator& telemetry, const TraceSampler* sampler);
+    const sim::TelemetryAggregator& telemetry,
+    const TraceSampler* sampler = nullptr);
 
 /// The contract-plane flight recorder as dashboard JSON: per-contract RED
 /// tables (Rate = admissions, Errors = rejections / liveliness losses /

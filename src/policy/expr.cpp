@@ -38,8 +38,11 @@ struct BoolExpr::Node {
     switch (kind) {
       case Kind::kTrue:
         return "TRUE";
-      case Kind::kVar:
-        return "x" + std::to_string(var + 1);
+      case Kind::kVar: {
+        std::string out = "x";
+        out += std::to_string(var + 1);
+        return out;
+      }
       case Kind::kAnd:
       case Kind::kOr: {
         const std::string sep = kind == Kind::kAnd ? " AND " : " OR ";

@@ -174,39 +174,22 @@ class Simulation {
   void setObserver(SpanObserver* observer) { observer_ = observer; }
   [[nodiscard]] SpanObserver* observer() const { return observer_; }
 
-  /// Convenience logging helpers stamping the current simulated time. The
-  /// level guard runs before anything else so disabled tracing costs one
-  /// branch (the argument strings are still materialized by the caller; use
-  /// the lazy overloads below on hot paths).
-  void debug(std::string component, std::string message) {
-    if (trace_.enabled(TraceLevel::kDebug)) {
-      trace_.log(now(), TraceLevel::kDebug, std::move(component), std::move(message));
-    }
+  /// Logging helpers stamping the current simulated time. `message` is
+  /// either a string or a callable returning one; the level guard runs
+  /// first, so a disabled level costs one branch and a callable is never
+  /// invoked (a string argument is still built by the caller: pass a
+  /// callable on hot paths).
+  template <typename Message>
+  void debug(std::string_view component, Message&& message) {
+    log(TraceLevel::kDebug, component, std::forward<Message>(message));
   }
-  void info(std::string component, std::string message) {
-    if (trace_.enabled(TraceLevel::kInfo)) {
-      trace_.log(now(), TraceLevel::kInfo, std::move(component), std::move(message));
-    }
+  template <typename Message>
+  void info(std::string_view component, Message&& message) {
+    log(TraceLevel::kInfo, component, std::forward<Message>(message));
   }
-  void warn(std::string component, std::string message) {
-    if (trace_.enabled(TraceLevel::kWarn)) {
-      trace_.log(now(), TraceLevel::kWarn, std::move(component), std::move(message));
-    }
-  }
-
-  /// Lazy logging: `make` is only invoked (and its message only built) when
-  /// the level is enabled. It may return anything convertible to std::string.
-  template <typename Fn, typename = std::enable_if_t<std::is_invocable_v<Fn&>>>
-  void debug(std::string_view component, Fn&& make) {
-    logLazy(TraceLevel::kDebug, component, std::forward<Fn>(make));
-  }
-  template <typename Fn, typename = std::enable_if_t<std::is_invocable_v<Fn&>>>
-  void info(std::string_view component, Fn&& make) {
-    logLazy(TraceLevel::kInfo, component, std::forward<Fn>(make));
-  }
-  template <typename Fn, typename = std::enable_if_t<std::is_invocable_v<Fn&>>>
-  void warn(std::string_view component, Fn&& make) {
-    logLazy(TraceLevel::kWarn, component, std::forward<Fn>(make));
+  template <typename Message>
+  void warn(std::string_view component, Message&& message) {
+    log(TraceLevel::kWarn, component, std::forward<Message>(message));
   }
 
  private:
@@ -243,10 +226,14 @@ class Simulation {
     return s.registry ? *s.registry : metrics_;
   }
 
-  template <typename Fn>
-  void logLazy(TraceLevel level, std::string_view component, Fn&& make) {
-    if (trace_.enabled(level)) {
-      trace_.log(now(), level, std::string(component), std::string(make()));
+  template <typename Message>
+  void log(TraceLevel level, std::string_view component, Message&& message) {
+    if (!trace_.enabled(level)) return;
+    if constexpr (std::is_invocable_v<Message&>) {
+      trace_.log(now(), level, std::string(component), std::string(message()));
+    } else {
+      trace_.log(now(), level, std::string(component),
+                 std::string(std::forward<Message>(message)));
     }
   }
 

@@ -42,7 +42,6 @@ SoakResult runScenario(std::uint64_t seed, unsigned shards = 1) {
   cfg.seed = seed;
   cfg.parallelShards = shards;
   cfg.heartbeatInterval = sim::msec(200);
-  cfg.heartbeatMissThreshold = 3;
   cfg.factTtl = sim::sec(5);
   cfg.rpcMaxAttempts = 3;
 

@@ -372,7 +372,6 @@ apps::TestbedConfig chaosConfig(std::uint64_t seed) {
   apps::TestbedConfig cfg;
   cfg.seed = seed;
   cfg.heartbeatInterval = sim::msec(200);
-  cfg.heartbeatMissThreshold = 3;
   cfg.factTtl = sim::sec(5);
   cfg.rpcMaxAttempts = 3;
   return cfg;

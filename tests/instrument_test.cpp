@@ -7,7 +7,6 @@
 
 #include "instrument/coordinator.hpp"
 #include "instrument/sensors.hpp"
-#include "instrument/timer_wheel.hpp"
 #include "osim/host.hpp"
 #include "policy/parser.hpp"
 
@@ -598,114 +597,6 @@ TEST_F(CoordFixture, UserRoleIsCarriedInReports) {
   fps->set(10.0);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].userRole, "gold");
-}
-
-// ---- SensorTimerWheel: batched sensor polling ----
-
-class TickCountingSensor : public Sensor {
- public:
-  using Sensor::Sensor;
-  [[nodiscard]] double currentValue() const override { return value; }
-  double value = 0.0;
-  int ticksSeen = 0;
-
- protected:
-  void onTick() override { ++ticksSeen; }
-};
-
-TEST_F(Fixture, WheelPollsAtTheSelfTickCadence) {
-  // One sensor drives its own periodic; an identical one rides the wheel at
-  // the same interval. Over a window both must be polled the same number of
-  // times (the batching changes the kernel footprint, not the cadence).
-  TickCountingSensor selfTicked(s, "self", "attr");
-  TickCountingSensor wheeled(s, "wheeled", "attr");
-  selfTicked.setTickInterval(sim::msec(100));
-  SensorTimerWheel wheel(s, sim::msec(50));
-  wheel.add(wheeled, sim::msec(100));
-  s.runUntil(sim::sec(2));
-  EXPECT_EQ(selfTicked.ticksSeen, 20);
-  EXPECT_EQ(wheeled.ticksSeen, 20);
-  EXPECT_EQ(wheel.polls(), 20u);
-}
-
-TEST_F(Fixture, WheelRoundsIntervalsUpToWholeTicks) {
-  // 120 ms on a 50 ms wheel rounds up to 3 ticks = 150 ms: the wheel may
-  // poll slower than asked, never faster.
-  TickCountingSensor sensor(s, "g", "attr");
-  SensorTimerWheel wheel(s, sim::msec(50));
-  wheel.add(sensor, sim::msec(120));
-  s.runUntil(sim::sec(3));
-  EXPECT_EQ(sensor.ticksSeen, 20);  // 3000 ms / 150 ms
-}
-
-TEST_F(Fixture, AdoptTakesOverTheSensorsOwnTick) {
-  TickCountingSensor sensor(s, "g", "attr");
-  sensor.setTickInterval(sim::msec(100));
-  SensorTimerWheel wheel(s, sim::msec(100));
-  const SensorTimerWheel::Token token = wheel.adopt(sensor);
-  EXPECT_NE(token, SensorTimerWheel::kInvalidToken);
-  EXPECT_EQ(sensor.tickInterval(), 0);  // internal periodic disabled
-  s.runUntil(sim::sec(1));
-  EXPECT_EQ(sensor.ticksSeen, 10);  // wheel-driven, not double-driven
-  // A sensor without a tick has nothing to adopt.
-  TickCountingSensor untimed(s, "u", "attr");
-  EXPECT_EQ(wheel.adopt(untimed), SensorTimerWheel::kInvalidToken);
-}
-
-TEST_F(Fixture, RemoveStopsPollingAndIdlesTheWheel) {
-  TickCountingSensor sensor(s, "g", "attr");
-  SensorTimerWheel wheel(s, sim::msec(100));
-  const SensorTimerWheel::Token token = wheel.add(sensor, sim::msec(100));
-  s.runUntil(sim::msec(350));
-  EXPECT_EQ(sensor.ticksSeen, 3);
-  EXPECT_TRUE(wheel.remove(token));
-  EXPECT_FALSE(wheel.remove(token));  // stale token
-  EXPECT_EQ(wheel.sensorCount(), 0u);
-  const std::size_t eventsBefore = s.queue().size();
-  s.runUntil(sim::sec(2));
-  EXPECT_EQ(sensor.ticksSeen, 3);  // no further polls
-  // The wheel cancelled its kernel periodic when the last sensor left.
-  EXPECT_LE(s.queue().size(), eventsBefore);
-}
-
-TEST_F(Fixture, ManySensorsShareOneKernelEvent) {
-  // The point of the wheel: N sensors, one event-queue entry. Self-ticking
-  // sensors would cost one periodic each.
-  std::vector<std::unique_ptr<TickCountingSensor>> sensors;
-  SensorTimerWheel wheel(s, sim::msec(50));
-  const std::size_t before = s.queue().size();
-  for (int i = 0; i < 32; ++i) {
-    sensors.push_back(std::make_unique<TickCountingSensor>(
-        s, "g" + std::to_string(i), "attr"));
-    wheel.add(*sensors.back(), sim::msec(50 * (1 + i % 4)));
-  }
-  EXPECT_EQ(s.queue().size(), before + 1);  // one periodic for all 32
-  s.runUntil(sim::sec(1));
-  EXPECT_EQ(sensors[0]->ticksSeen, 20);  // 50 ms cadence
-  EXPECT_EQ(sensors[3]->ticksSeen, 5);   // 200 ms cadence
-}
-
-TEST_F(Fixture, PollMayRemoveAnotherSensorReentrantly) {
-  // An alarm raised mid-poll can unhook other sensors; the wheel must stay
-  // consistent while its slot is being visited.
-  TickCountingSensor a(s, "a", "attr");
-  TickCountingSensor b(s, "b", "attr");
-  SensorTimerWheel wheel(s, sim::msec(100));
-  const SensorTimerWheel::Token ta = wheel.add(a, sim::msec(100));
-  SensorTimerWheel::Token tb = wheel.add(b, sim::msec(100));
-  a.installComparison(policy::PolicyCmp::kLt, 1.0, 1);
-  a.value = 5.0;  // violating: first poll raises the alarm
-  a.setAlarmHandler([&](Sensor&, int, bool) {
-    if (tb != SensorTimerWheel::kInvalidToken) {
-      wheel.remove(tb);
-      tb = SensorTimerWheel::kInvalidToken;
-    }
-  });
-  s.runUntil(sim::sec(1));
-  EXPECT_EQ(a.ticksSeen, 10);
-  EXPECT_EQ(b.ticksSeen, 0);  // removed before its first poll in the slot
-  EXPECT_EQ(wheel.sensorCount(), 1u);
-  wheel.remove(ta);
 }
 
 }  // namespace

@@ -107,6 +107,13 @@ struct FilterCase {
   bool expected;
 };
 
+// Names the case by its text. Without a printer gtest dumps the struct's raw
+// bytes, pointer and padding included, into the ctest name, which then
+// differs from one build to the next.
+void PrintTo(const FilterCase& c, std::ostream* os) {
+  *os << c.filter << (c.expected ? " matches" : " does not match");
+}
+
 class FilterMatch : public ::testing::TestWithParam<FilterCase> {
  protected:
   Entry entry = [] {

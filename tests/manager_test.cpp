@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "manager/default_rules.hpp"
 #include "manager/domain_manager.hpp"
 #include "rules/parser.hpp"
 #include "manager/host_manager.hpp"
@@ -290,7 +291,7 @@ struct DmFixture : ::testing::Test {
 
 TEST_F(DmFixture, ServerOverloadIsDiagnosedAndBoosted) {
   server.loadSampler().prime(5.0);  // overloaded server
-  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_EQ(dm->lastDiagnosis(), "server-overload");
   EXPECT_EQ(dm->serverBoostsSent(), 1u);
@@ -306,7 +307,7 @@ TEST_F(DmFixture, DeadServerProcessIsDiagnosedAndRestartRequested) {
     return 77;  // pretend-new pid
   });
   server.kill(serverProc->pid());
-  dm->handleEscalation(videoReport(1, "client-host", 0.0, 0.5, 0.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 0.0, 0.5, 0.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_EQ(dm->lastDiagnosis(), "process-failure");
   EXPECT_EQ(dm->restartsRequested(), 1u);
@@ -316,7 +317,7 @@ TEST_F(DmFixture, DeadServerProcessIsDiagnosedAndRestartRequested) {
 }
 
 TEST_F(DmFixture, HealthyServerQuietNetworkIsUnknown) {
-  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_EQ(dm->lastDiagnosis(), "unknown");
 }
@@ -324,7 +325,7 @@ TEST_F(DmFixture, HealthyServerQuietNetworkIsUnknown) {
 TEST_F(DmFixture, UnknownServiceIsReported) {
   instrument::ViolationReport r = videoReport(1, "client-host", 8, 0.5, 100);
   r.executable = "MysteryApp";
-  dm->handleEscalation(r, false);
+  dm->handleEscalation(r, 0);
   EXPECT_EQ(dm->lastDiagnosis(), "unknown-service");
 }
 
@@ -334,7 +335,7 @@ TEST_F(DmFixture, EscalationForUnmanagedHostForwardsToPeer) {
   peerCfg.rpcPort = 7200;
   QoSDomainManager peer(s, client, net, "peer", peerCfg);
   dm->addPeer("client-host", 7200);
-  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_EQ(dm->forwardsSent(), 1u);
   EXPECT_EQ(peer.escalationsReceived(), 1u);
@@ -382,13 +383,13 @@ TEST_F(DmFixture, DomainRuleSwapChangesThreshold) {
   =>
   (call diagnose ?e unknown)))");
   server.loadSampler().prime(5.0);
-  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_EQ(dm->lastDiagnosis(), "unknown");
 }
 
 TEST_F(DmFixture, EscalationFactsAreCleanedUp) {
-  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), false);
+  dm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(1));
   EXPECT_TRUE(dm->engine().facts().byTemplate("escalation").empty());
   EXPECT_TRUE(dm->engine().facts().byTemplate("server-stats").empty());
@@ -522,8 +523,7 @@ TEST_F(TreeDmFixture, EscalationClimbsTwoHopsToTheRoot) {
   build(/*hops=*/2);
   // The rack knows the service but does not manage its host (hop 1); the
   // cluster does not even know the service and spends hop 2 asking up.
-  rackDm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0),
-                           false);
+  rackDm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(2));
   EXPECT_EQ(rackDm->forwardsSent(), 1u);
   EXPECT_EQ(clusterDm->escalationsReceived(), 1u);
@@ -535,8 +535,7 @@ TEST_F(TreeDmFixture, EscalationClimbsTwoHopsToTheRoot) {
 
 TEST_F(TreeDmFixture, HopBudgetStopsForwarding) {
   build(/*hops=*/1);
-  rackDm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0),
-                           false);
+  rackDm->handleEscalation(videoReport(1, "client-host", 8.0, 0.5, 100.0), 0);
   s.runUntil(sim::sec(2));
   // The rack spends the whole budget on its single legacy-framed hop; the
   // cluster must absorb the alarm rather than keep climbing.

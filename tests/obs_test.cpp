@@ -426,17 +426,19 @@ TEST(ObsEndToEnd, ManagedTestbedProducesCompleteCausalChain) {
 
 // Blank out the values of wall-clock annotations ("wall_ns":"<digits>"):
 // they profile host time and legitimately differ between identical runs.
-std::string scrubWallClock(std::string json) {
+std::string scrubWallClock(const std::string& json) {
   const std::string key = "\"wall_ns\":\"";
+  std::string out;
   std::size_t pos = 0;
-  while ((pos = json.find(key, pos)) != std::string::npos) {
-    const std::size_t v = pos + key.size();
-    std::size_t end = v;
-    while (end < json.size() && json[end] != '"') ++end;
-    json.replace(v, end - v, "0");
-    pos = v;
+  for (std::size_t hit; (hit = json.find(key, pos)) != std::string::npos;) {
+    const std::size_t v = hit + key.size();
+    out.append(json, pos, v - pos);
+    out += '0';
+    pos = json.find('"', v);
+    if (pos == std::string::npos) pos = json.size();
   }
-  return json;
+  out.append(json, pos, std::string::npos);
+  return out;
 }
 
 TEST(ObsEndToEnd, TracedRunsAreDeterministic) {

@@ -232,7 +232,9 @@ TEST_F(Fixture, ContextSwitchesAreCounted) {
 
 TEST_F(Fixture, LoadAverageTracksRunnableCount) {
   for (int i = 0; i < 4; ++i) {
-    host.spawn("w" + std::to_string(i), [](Process& q) { spinLoop(q); });
+    std::string name = "w";
+    name += std::to_string(i);
+    host.spawn(name, [](Process& q) { spinLoop(q); });
   }
   s.runUntil(sim::sec(240));  // 4 minutes ≈ converged 1-min EWMA
   EXPECT_NEAR(host.loadAverage(), 4.0, 0.4);

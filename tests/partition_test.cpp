@@ -15,7 +15,11 @@
 namespace softqos::net {
 namespace {
 
-std::string nodeName(int i) { return "n" + std::to_string(i); }
+std::string nodeName(int i) {
+  std::string name = "n";
+  name += std::to_string(i);
+  return name;
+}
 
 struct RandomGraph {
   int nodes = 0;

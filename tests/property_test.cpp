@@ -200,6 +200,13 @@ struct ReportCase {
   const char* role;
 };
 
+// Names the case by its fields; gtest's default would dump the raw bytes,
+// pointer and padding included, so the ctest name would change per build.
+void PrintTo(const ReportCase& c, std::ostream* os) {
+  *os << "pid " << c.pid << (c.violated ? " violated " : " satisfied ")
+      << c.metricCount << " metrics role " << (*c.role ? c.role : "(none)");
+}
+
 class ReportProperty : public ::testing::TestWithParam<ReportCase> {};
 
 TEST_P(ReportProperty, SerializeParseIsIdentity) {
@@ -263,6 +270,14 @@ struct CmpCase {
   bool holdsEqual;
   bool holdsAbove;
 };
+
+// As for ReportCase: the padding after `op` must not reach the test name.
+void PrintTo(const CmpCase& c, std::ostream* os) {
+  *os << "x " << policy::policyCmpName(c.op) << ' ' << c.threshold << " at "
+      << c.below << (c.holdsBelow ? " holds, " : " fails, ") << c.equal
+      << (c.holdsEqual ? " holds, " : " fails, ") << c.above
+      << (c.holdsAbove ? " holds" : " fails");
+}
 
 class CmpProperty : public ::testing::TestWithParam<CmpCase> {};
 

@@ -629,7 +629,9 @@ TEST(Trace, RingCapDropsOldestFirst) {
   t.setLevel(TraceLevel::kDebug);
   t.setMaxRecords(3);
   for (int i = 0; i < 5; ++i) {
-    t.log(sec(i), TraceLevel::kInfo, "c", "m" + std::to_string(i));
+    std::string message = "m";
+    message += std::to_string(i);
+    t.log(sec(i), TraceLevel::kInfo, "c", std::move(message));
   }
   ASSERT_EQ(t.records().size(), 3u);
   EXPECT_EQ(t.records().front().message, "m2");

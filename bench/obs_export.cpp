@@ -111,6 +111,7 @@ void run(bool chaos, const std::string& tracePath,
 
   // Phase 3: quiet tail so open episodes observe recovery and close.
   bed.sim.runUntil(sim::sec(90));
+  bed.sampler->finalFlush();
 
   const double fps =
       bed.video ? static_cast<double>(bed.video->framesDisplayed()) /
@@ -119,8 +120,8 @@ void run(bool chaos, const std::string& tracePath,
   std::printf("%s run: %.0f simulated seconds, mean %.1f fps, %llu spans "
               "(%llu dropped)\n",
               chaos ? "chaos" : "fig3-style", sim::toSeconds(bed.sim.now()),
-              fps, static_cast<unsigned long long>(bed.observer->totalSpans()),
-              static_cast<unsigned long long>(bed.observer->droppedSpans()));
+              fps, static_cast<unsigned long long>(bed.sampler->totalSpans()),
+              static_cast<unsigned long long>(bed.sampler->droppedRecords()));
   if (chaos) {
     std::printf("faults injected: %llu, diagnosis: %s\n",
                 static_cast<unsigned long long>(injector.injected()),
@@ -129,11 +130,10 @@ void run(bool chaos, const std::string& tracePath,
   printHistogram(bed.sim.metrics(), "qos.reaction_latency_us");
   printHistogram(bed.sim.metrics(), "rpc.roundtrip_us");
   printHistogram(bed.sim.metrics(), "rules.fire_wall_ns");
-  printHistogram(bed.sim.metrics(), "evq.callback_ns");
 
   {
     std::ofstream out(tracePath);
-    out << obs::chromeTraceJson(*bed.observer);
+    out << obs::chromeTraceJson(*bed.sampler);
   }
   {
     std::ofstream out(metricsPath);
@@ -243,8 +243,8 @@ void runCity(const std::string* paths) {
   }
   {
     std::ofstream out(metricsPath);
-    out << obs::metricsJson(city.sim.metrics(), &city.sim.trace(), nullptr,
-                            &sampler, &analyzer);
+    out << obs::metricsJson(city.sim.metrics(), &city.sim.trace(), &sampler,
+                            &analyzer);
   }
   {
     std::ofstream out(domainPath);

@@ -10,6 +10,8 @@
 # than silently skipping the checks.
 #
 #   scripts/obs.sh [build-dir] [out-dir]   (default: build/, build/obs/)
+#
+# ctest runs it as the `obs` label case (ctest -L obs).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

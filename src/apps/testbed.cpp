@@ -1,7 +1,6 @@
 #include "apps/testbed.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "net/nic.hpp"
 #include "obs/slo.hpp"
@@ -43,17 +42,18 @@ Testbed::Testbed(TestbedConfig config)
       clientLoad(clientHost, "client-load"),
       serverLoad(serverHost, "server-load"),
       config_(std::move(config)) {
-  // Attach the observer before any component is constructed so manager/RPC
-  // construction (which interns histogram handles) and every later event run
-  // under tracing. Attaching is pure bookkeeping: no events, no RNG draws.
-  if (config_.observability) observer = std::make_unique<obs::Observer>(sim);
+  // Attach the sampler before any component is constructed so every event
+  // runs under tracing. Attaching is pure bookkeeping: no events, no RNG
+  // draws. Keeping every trace is a retention policy: a baseline draw that
+  // always succeeds and no cap on retained spans.
+  if (config_.observability) {
+    obs::SamplerConfig keepAll;
+    keepAll.baselineProbability = 1.0;
+    keepAll.maxRetainedSpans = 0;
+    sampler = std::make_unique<obs::TraceSampler>(sim, keepAll);
+  }
 
   if (config_.parallelShards > 1) {
-    if (config_.observability) {
-      throw std::invalid_argument(
-          "Testbed: observability and parallelShards are mutually exclusive "
-          "(sharded runs take no SpanObserver)");
-    }
     // One worker thread, N shards: the windowed conservative engine with the
     // exact schedule a multi-threaded run would execute, minus the data
     // races the domain manager's whole-fabric channel polling would cause.

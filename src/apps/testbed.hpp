@@ -18,7 +18,7 @@
 #include "distribution/qorms.hpp"
 #include "net/switch.hpp"
 #include "net/traffic.hpp"
-#include "obs/observer.hpp"
+#include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 
 namespace softqos::apps {
@@ -37,10 +37,10 @@ struct TestbedConfig {
   sim::SimDuration heartbeatInterval = 0;  // DM liveness probing (0 = off)
   sim::SimDuration factTtl = 0;            // HM stale-fact expiry (0 = off)
   int rpcMaxAttempts = 1;                  // management-RPC retry budget
-  /// Attach an obs::Observer to the simulation: end-to-end causal tracing of
-  /// detection -> diagnosis -> actuation -> recovery chains plus kernel
-  /// profiling histograms. Off by default — a testbed without it runs
-  /// byte-identically to earlier builds.
+  /// Attach an obs::TraceSampler that keeps every trace: end-to-end causal
+  /// tracing of detection -> diagnosis -> actuation -> recovery chains, on
+  /// the serial kernel or across parallelShards. Off by default — a testbed
+  /// without it runs byte-identically to earlier builds.
   bool observability = false;
   /// Arm streaming self-telemetry on both host managers: windowed rollups of
   /// the management plane's own behaviour, published to the domain manager
@@ -95,7 +95,9 @@ class Testbed {
   manager::QoSDomainManager* dm = nullptr;
   std::unique_ptr<VideoSession> video;
   /// Non-null when config.observability; attached to `sim` for its lifetime.
-  std::unique_ptr<obs::Observer> observer;
+  /// Its retention keeps every trace; call sampler->finalFlush() once the
+  /// run is over, before reading or exporting the traces.
+  std::unique_ptr<obs::TraceSampler> sampler;
 
   [[nodiscard]] const TestbedConfig& config() const { return config_; }
 

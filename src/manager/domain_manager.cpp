@@ -305,8 +305,6 @@ void QoSDomainManager::installFireHooks() {
         ruleFireNanos_.record(static_cast<double>(wallNanos));
         if (currentRuleSpan_.valid()) {
           if (sim::SpanObserver* o = sim_.observer()) {
-            o->annotate(currentRuleSpan_, "wall_ns",
-                        std::to_string(wallNanos));
             o->endSpan(sim_.now(), currentRuleSpan_);
           }
           currentRuleSpan_ = sim::TraceContext{};

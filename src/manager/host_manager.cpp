@@ -384,7 +384,7 @@ void QoSHostManager::registerEngineFunctions() {
 void QoSHostManager::installFireHooks() {
   // Per-rule spans with matched-fact attribution, plus a wall-clock cost
   // histogram per firing. Rule firings consume no simulated time, so the
-  // spans are instants on the sim clock carrying host-cost annotations.
+  // spans are instants on the sim clock; host cost stays in the histogram.
   engine_.setFireHooks(
       [this](const rules::Rule& rule,
              const std::vector<rules::FactId>& matched) -> bool {
@@ -414,8 +414,6 @@ void QoSHostManager::installFireHooks() {
         }
         if (currentRuleSpan_.valid()) {
           if (sim::SpanObserver* o = sim_.observer()) {
-            o->annotate(currentRuleSpan_, "wall_ns",
-                        std::to_string(wallNanos));
             o->endSpan(sim_.now(), currentRuleSpan_);
           }
           currentRuleSpan_ = sim::TraceContext{};

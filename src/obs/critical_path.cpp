@@ -208,44 +208,13 @@ void CriticalPathAnalyzer::accumulate(const EpisodeAttribution& ep) {
 }
 
 void CriticalPathAnalyzer::analyze(const TraceSampler& sampler) {
-  std::vector<const SampledTrace*> traces = sampler.retained();
-  std::sort(traces.begin(), traces.end(),
-            [&sampler](const SampledTrace* a, const SampledTrace* b) {
-              return sampler.canonicalTraceId(a->provisionalTraceId)
-                         .value_or(0) <
-                     sampler.canonicalTraceId(b->provisionalTraceId)
-                         .value_or(0);
-            });
-  for (const SampledTrace* t : traces) {
-    if (!t->complete) {
+  const std::vector<const SampledTrace*>& traces = sampler.canonical();
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (!traces[i]->complete) {
       ++incomplete_;
       continue;
     }
-    analyzeTree(t->spans,
-                sampler.canonicalTraceId(t->provisionalTraceId).value_or(0));
-  }
-}
-
-void CriticalPathAnalyzer::analyze(const Observer& observer) {
-  // Group the store's spans by trace, preserving mint order within each
-  // trace (the store is already in global mint order).
-  std::map<std::uint64_t, std::vector<SampledSpan>> traces;
-  std::vector<std::uint64_t> order;
-  for (const Span& s : observer.spans()) {
-    auto [it, inserted] = traces.try_emplace(s.traceId);
-    if (inserted) order.push_back(s.traceId);
-    SampledSpan converted;
-    converted.spanId = s.spanId;
-    converted.parentSpanId = s.parentSpanId;
-    converted.start = s.start;
-    converted.end = s.open() ? -1 : s.end;
-    converted.name = s.name;
-    converted.component = s.component;
-    converted.annotations = s.annotations;
-    it->second.push_back(std::move(converted));
-  }
-  for (const std::uint64_t traceId : order) {
-    analyzeTree(traces[traceId], traceId);
+    analyzeTree(traces[i]->spans, i + 1);
   }
 }
 

@@ -42,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "sim/metrics.hpp"
 #include "sim/time.hpp"
@@ -75,8 +74,7 @@ struct PathSegment {
 
 /// One analyzed episode: the critical path of a retained trace.
 struct EpisodeAttribution {
-  /// Canonical retained id (sampler input) or the store's trace id
-  /// (Observer input); 0 for hand-built trees.
+  /// Canonical retained id (sampler input); 0 for hand-built trees.
   std::uint64_t traceId = 0;
   std::string rootName;
   std::string rootComponent;
@@ -128,10 +126,6 @@ class CriticalPathAnalyzer {
   /// the Chrome exporter uses), so aggregate state and exports are a pure
   /// function of the retained set. Incomplete trees are counted and skipped.
   void analyze(const TraceSampler& sampler);
-
-  /// Analyze every trace in the span store (closed roots only); trace order
-  /// is store order, which is mint order and therefore deterministic.
-  void analyze(const Observer& observer);
 
   /// Analyze one mint-ordered span tree. Returns nullopt (and bumps the
   /// skip counters) when the tree has no closed root or the root name

@@ -1,9 +1,12 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/span_tree.hpp"
 
 namespace softqos::obs {
 namespace {
@@ -144,110 +147,25 @@ void appendMetricsBody(std::string& out, const sim::MetricRegistry& metrics) {
 
 }  // namespace
 
-std::string chromeTraceJson(const Observer& observer) {
-  const std::deque<Span>& spans = observer.spans();
-  const std::size_t n = spans.size();
-
-  // Envelope normalization: a span's effective end covers its latest
-  // descendant. Children are always minted after their parent (higher
-  // index), so one reverse pass visits every child before its parent.
-  std::vector<sim::SimTime> effEnd(n);
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) index.emplace(spans[i].spanId, i);
-  for (std::size_t i = n; i-- > 0;) {
-    const Span& s = spans[i];
-    // max(own end, latest child): children visited earlier may already have
-    // propagated into effEnd[i], so extend rather than overwrite.
-    const sim::SimTime ownEnd = s.open() ? s.start : s.end;
-    if (effEnd[i] < ownEnd) effEnd[i] = ownEnd;
-    if (s.parentSpanId != 0) {
-      const auto it = index.find(s.parentSpanId);
-      if (it != index.end() && effEnd[it->second] < effEnd[i]) {
-        effEnd[it->second] = effEnd[i];
-      }
-    }
-  }
-
-  std::string out;
-  out.reserve(128 * n + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Span& s = spans[i];
-    if (!first) out += ",";
-    first = false;
-    out += "\n{\"name\":\"";
-    appendEscaped(out, s.name);
-    out += "\",\"cat\":\"";
-    appendEscaped(out, s.component);
-    out += "\",\"ph\":\"X\",\"ts\":";
-    out += std::to_string(s.start);
-    out += ",\"dur\":";
-    out += std::to_string(effEnd[i] - s.start);
-    out += ",\"pid\":1,\"tid\":";
-    out += std::to_string(s.traceId);
-    out += ",\"args\":{\"span_id\":\"";
-    out += std::to_string(s.spanId);
-    if (s.parentSpanId != 0) {
-      out += "\",\"parent_span_id\":\"";
-      out += std::to_string(s.parentSpanId);
-    }
-    out += "\"";
-    for (const auto& [key, value] : s.annotations) {
-      out += ",\"";
-      appendEscaped(out, key);
-      out += "\":\"";
-      appendEscaped(out, value);
-      out += "\"";
-    }
-    out += "}}";
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
-}
-
 std::string chromeTraceJson(const TraceSampler& sampler) {
-  // Canonical order: sorted by the shard-invariant trace key, which is
-  // exactly the canonicalTraceId order. Span ids restart from 1 and grow in
-  // record order across traces, so the whole document is a pure function of
-  // the retained set.
-  std::vector<const SampledTrace*> traces = sampler.retained();
-  std::sort(traces.begin(), traces.end(),
-            [&sampler](const SampledTrace* a, const SampledTrace* b) {
-              return sampler.canonicalTraceId(a->provisionalTraceId)
-                         .value_or(0) <
-                     sampler.canonicalTraceId(b->provisionalTraceId)
-                         .value_or(0);
-            });
+  // Canonical order: trace i has canonical id i + 1. Span ids restart from
+  // 1 and grow in record order across traces, so the whole document is a
+  // pure function of the retained set.
+  const std::vector<const SampledTrace*>& traces = sampler.canonical();
 
   std::string out;
   out += "{\"traceEvents\":[";
   bool first = true;
   std::uint64_t nextSpanId = 1;
-  for (const SampledTrace* t : traces) {
-    const std::uint64_t tid =
-        sampler.canonicalTraceId(t->provisionalTraceId).value_or(0);
+  for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+    const SampledTrace* t = traces[ti];
+    const std::uint64_t tid = ti + 1;
     const auto& spans = t->spans;
     const std::size_t n = spans.size();
-
-    // Envelope normalization, per trace: children are recorded after their
-    // parent, so one reverse pass visits every child before its parent.
-    std::vector<sim::SimTime> effEnd(n);
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    index.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) index.emplace(spans[i].spanId, i);
-    for (std::size_t i = n; i-- > 0;) {
-      const SampledSpan& s = spans[i];
-      const sim::SimTime ownEnd = s.open() ? s.start : s.end;
-      if (effEnd[i] < ownEnd) effEnd[i] = ownEnd;
-      if (s.parentSpanId != 0) {
-        const auto it = index.find(s.parentSpanId);
-        if (it != index.end() && effEnd[it->second] < effEnd[i]) {
-          effEnd[it->second] = effEnd[i];
-        }
-      }
-    }
+    // The sampler opens a trace only on its root's begin record, so every
+    // retained trace has a root and the build cannot fail.
+    const std::optional<SpanTree> tree = SpanTree::build(spans);
+    assert(tree.has_value());
 
     // Provisional -> canonical span ids, in record order.
     std::unordered_map<std::uint64_t, std::uint64_t> canon;
@@ -267,7 +185,7 @@ std::string chromeTraceJson(const TraceSampler& sampler) {
       out += "\",\"ph\":\"X\",\"ts\":";
       out += std::to_string(s.start);
       out += ",\"dur\":";
-      out += std::to_string(effEnd[i] - s.start);
+      out += std::to_string(tree->effEnd[i] - s.start);
       out += ",\"pid\":1,\"tid\":";
       out += std::to_string(tid);
       out += ",\"args\":{\"span_id\":\"";
@@ -301,14 +219,12 @@ std::string chromeTraceJson(const TraceSampler& sampler) {
 }
 
 std::string metricsJson(const sim::MetricRegistry& metrics,
-                        const sim::Trace* trace, const Observer* observer,
-                        const TraceSampler* sampler,
+                        const sim::Trace* trace, const TraceSampler* sampler,
                         const CriticalPathAnalyzer* analyzer) {
   std::string out;
   out += "{\n";
   appendMetricsBody(out, metrics);
-  if (trace == nullptr && observer == nullptr && sampler == nullptr &&
-      analyzer == nullptr) {
+  if (trace == nullptr && sampler == nullptr && analyzer == nullptr) {
     out += "\n}\n";
     return out;
   }
@@ -336,16 +252,6 @@ std::string metricsJson(const sim::MetricRegistry& metrics,
     field("records", trace->records().size(), inner);
     field("max_records", trace->maxRecords(), inner);
     field("dropped_records", trace->droppedRecords(), inner);
-    out += "}";
-  }
-  if (observer != nullptr) {
-    section("span_store");
-    bool inner = true;
-    out += "{";
-    field("spans", observer->spans().size(), inner);
-    field("max_spans", observer->maxSpans(), inner);
-    field("total_spans", observer->totalSpans(), inner);
-    field("dropped_spans", observer->droppedSpans(), inner);
     out += "}";
   }
   if (sampler != nullptr) {

@@ -1,10 +1,11 @@
 // Exporters for the observability plane.
 //
-// chromeTraceJson renders retained spans in the Chrome trace_event format
-// (ph:"X" complete events, ts/dur in microseconds — SimTime's native unit)
-// loadable in chrome://tracing or https://ui.perfetto.dev. Each causal chain
-// gets its own tid (= trace id) so detection -> diagnosis -> actuation ->
-// recovery chains render as one row each.
+// chromeTraceJson renders the sampler's retained spans in the Chrome
+// trace_event format (ph:"X" complete events, ts/dur in microseconds —
+// SimTime's native unit) loadable in chrome://tracing or
+// https://ui.perfetto.dev. Each causal chain gets its own tid (= canonical
+// trace id) so detection -> diagnosis -> actuation -> recovery chains render
+// as one row each.
 //
 // metricsJson snapshots a MetricRegistry (counters, series summaries,
 // histogram quantiles) as a single JSON object for offline analysis.
@@ -15,7 +16,6 @@
 
 #include "obs/critical_path.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "sim/metrics.hpp"
@@ -24,20 +24,17 @@
 
 namespace softqos::obs {
 
-/// Retained spans as a Chrome trace_event JSON document.
-///
-/// Span ends are envelope-normalized at export time: a parent's duration is
-/// extended to cover its latest descendant, so spans that logically end
-/// before an async child completes (message-queue hops, RPC replies) still
-/// nest properly in the viewer. Open spans close at their latest descendant
-/// (or render as instants when childless).
-[[nodiscard]] std::string chromeTraceJson(const Observer& observer);
-
-/// The tail sampler's retained traces in the same Chrome trace_event shape.
+/// The tail sampler's retained traces as a Chrome trace_event JSON document.
 /// Trace and span ids are renumbered canonically (traces sorted by root
 /// start/name/component, spans in record order), so the document is
 /// byte-identical across shard and worker counts. Root spans carry the
 /// retention reason and completeness flag in args.
+///
+/// Span ends are envelope-normalized (SpanTree::build): a parent's duration
+/// is extended to cover its latest descendant, so spans that logically end
+/// before an async child completes (message-queue hops, RPC replies) still
+/// nest properly in the viewer. Open spans close at their latest descendant
+/// (or render as instants when childless).
 [[nodiscard]] std::string chromeTraceJson(const TraceSampler& sampler);
 
 /// Snapshot of all counters, series and histograms as a JSON object.
@@ -47,13 +44,13 @@ namespace softqos::obs {
 /// recompute any quantile or jump from a bucket to a retained trace.
 ///
 /// When any plane is given, an "observability" section surfaces its
-/// ring-drop counters: the sim::Trace record ring, the span-store Observer
-/// and the tail sampler, plus the critical-path analyzer's counters
-/// (episodes analyzed, incomplete trees skipped, orphan spans) under
-/// "analyzer". Silent truncation is thereby visible in the export itself.
+/// ring-drop counters: the sim::Trace record ring and the tail sampler, plus
+/// the critical-path analyzer's counters (episodes analyzed, incomplete
+/// trees skipped, orphan spans) under "analyzer". Silent truncation is
+/// thereby visible in the export itself.
 [[nodiscard]] std::string metricsJson(
     const sim::MetricRegistry& metrics, const sim::Trace* trace = nullptr,
-    const Observer* observer = nullptr, const TraceSampler* sampler = nullptr,
+    const TraceSampler* sampler = nullptr,
     const CriticalPathAnalyzer* analyzer = nullptr);
 
 /// The critical-path analyzer's full result set as a JSON object: analyzer

@@ -110,39 +110,13 @@ void FlameGraph::add(const std::vector<SampledSpan>& spans) {
 }
 
 void FlameGraph::addRetained(const TraceSampler& sampler) {
-  std::vector<const SampledTrace*> traces = sampler.retained();
-  std::sort(traces.begin(), traces.end(),
-            [&sampler](const SampledTrace* a, const SampledTrace* b) {
-              return sampler.canonicalTraceId(a->provisionalTraceId)
-                         .value_or(0) <
-                     sampler.canonicalTraceId(b->provisionalTraceId)
-                         .value_or(0);
-            });
-  for (const SampledTrace* t : traces) {
+  for (const SampledTrace* t : sampler.canonical()) {
     if (!t->complete) {
       ++skipped_;
       continue;
     }
     add(t->spans);
   }
-}
-
-void FlameGraph::add(const Observer& observer) {
-  std::map<std::uint64_t, std::vector<SampledSpan>> traces;
-  std::vector<std::uint64_t> order;
-  for (const Span& s : observer.spans()) {
-    auto [it, inserted] = traces.try_emplace(s.traceId);
-    if (inserted) order.push_back(s.traceId);
-    SampledSpan converted;
-    converted.spanId = s.spanId;
-    converted.parentSpanId = s.parentSpanId;
-    converted.start = s.start;
-    converted.end = s.open() ? -1 : s.end;
-    converted.name = s.name;
-    converted.component = s.component;
-    it->second.push_back(std::move(converted));
-  }
-  for (const std::uint64_t traceId : order) add(traces[traceId]);
 }
 
 std::string FlameGraph::collapsed() const {

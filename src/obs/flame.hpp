@@ -30,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "sim/time.hpp"
 
@@ -54,9 +53,6 @@ class FlameGraph {
   /// Fold every *complete* retained trace, in canonical trace order;
   /// incomplete trees (open roots at shutdown) count as skipped.
   void addRetained(const TraceSampler& sampler);
-
-  /// Fold every trace in the span store (store order = mint order).
-  void add(const Observer& observer);
 
   /// Brendan Gregg collapsed-stack format: "frame;frame;... weight\n" per
   /// unique stack, sorted by stack; weights are sim-clock microseconds.

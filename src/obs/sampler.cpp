@@ -108,11 +108,6 @@ void TraceSampler::endSpan(sim::SimTime now, const sim::TraceContext& span) {
 void TraceSampler::annotate(const sim::TraceContext& span, std::string_view key,
                             std::string_view value) {
   if (!span.valid()) return;
-  // Wall-clock profiling annotations (rule-firing nanoseconds) vary run to
-  // run; like onEventExecuted/recordProfile they are the serial Observer's
-  // concern. Dropping them keeps the retained set byte-identical across
-  // worker counts.
-  if (key == "wall_ns") return;
   Rec rec;
   rec.when = sim_->now();
   rec.op = Op::kAnnotate;
@@ -131,12 +126,6 @@ sim::TraceContext TraceSampler::instant(sim::SimTime now,
   endSpan(now, ctx);
   return ctx;
 }
-
-void TraceSampler::onEventExecuted(sim::SimTime /*now*/, std::size_t /*depth*/,
-                                   std::uint64_t /*wallNanos*/) {}
-
-void TraceSampler::recordProfile(std::string_view /*component*/,
-                                 std::uint64_t /*wallNanos*/) {}
 
 bool TraceSampler::traceKeyLess(const SampledTrace& x, const SampledTrace& y) {
   if (x.rootStart != y.rootStart) return x.rootStart < y.rootStart;
@@ -395,17 +384,22 @@ std::vector<const SampledTrace*> TraceSampler::retained() const {
 }
 
 void TraceSampler::rebuildCanonical() const {
-  std::vector<const SampledTrace*> all = retained();
-  std::sort(all.begin(), all.end(),
+  canonicalOrder_ = retained();
+  std::sort(canonicalOrder_.begin(), canonicalOrder_.end(),
             [](const SampledTrace* x, const SampledTrace* y) {
               return traceKeyLess(*x, *y);
             });
   canonical_.clear();
   std::uint64_t next = 1;
-  for (const SampledTrace* t : all) {
+  for (const SampledTrace* t : canonicalOrder_) {
     canonical_.emplace(t->provisionalTraceId, next++);
   }
   canonicalDirty_ = false;
+}
+
+const std::vector<const SampledTrace*>& TraceSampler::canonical() const {
+  if (canonicalDirty_) rebuildCanonical();
+  return canonicalOrder_;
 }
 
 std::optional<std::uint64_t> TraceSampler::canonicalTraceId(

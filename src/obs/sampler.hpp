@@ -1,15 +1,14 @@
-// Tail-based trace sampling for city-scale runs.
+// Tail-based trace sampling: the one trace store of the observability plane.
 //
-// The span-store Observer keeps every span, which cannot survive 1024 hosts
-// emitting episode traces for hours. obs::TraceSampler implements
-// sim::SpanObserver as a *deferred-decision* sink: during the run each shard
-// appends fixed-size span records to its own buffer (no locks, no
-// cross-shard state — the sampler is shardSafe() and stays attached through
-// windowed parallel runs). At deterministic flush points (between runs, on
-// the sim clock) the per-shard buffers are k-way merged in (when, shard,
-// seq) order — the same tie-break the kernel uses for cross-shard mail — and
-// folded into per-trace pending trees. When a trace completes (root span
-// closed, no spans still open) a retention policy decides its fate:
+// obs::TraceSampler implements sim::SpanObserver as a *deferred-decision*
+// sink: during the run each shard appends fixed-size span records to its own
+// buffer (no locks, no cross-shard state — the sampler is shardSafe() and
+// stays attached through windowed parallel runs). At deterministic flush
+// points (between runs, on the sim clock) the per-shard buffers are k-way
+// merged in (when, shard, seq) order — the same tie-break the kernel uses
+// for cross-shard mail — and folded into per-trace pending trees. When a
+// trace completes (root span closed, no spans still open) a retention policy
+// decides its fate:
 //
 //   * a span/instant whose name starts with a configured trigger prefix
 //     (fault localization, contract-plane events, ...) retains the trace;
@@ -23,6 +22,10 @@
 //     state, so the decision is independent of processing order);
 //   * everything else folds its root duration into the sampler's private
 //     stats registry and is dropped.
+//
+// Keeping every trace is one policy among these: baselineProbability = 1
+// with maxRetainedSpans = 0 retains everything, which is how the two-host
+// Testbed traces (the city samples).
 //
 // Provisional trace/span ids are minted per shard as
 // (1<<48) | shard<<40 | seq. All such ids render as exactly 15 decimal
@@ -140,12 +143,6 @@ class TraceSampler final : public sim::SpanObserver {
   sim::TraceContext instant(sim::SimTime now, const sim::TraceContext& parent,
                             std::string_view name,
                             std::string_view component) override;
-  /// Kernel/component profiling is the serial Observer's job; the sampler
-  /// ignores both hooks (they would race across shards).
-  void onEventExecuted(sim::SimTime now, std::size_t depth,
-                       std::uint64_t wallNanos) override;
-  void recordProfile(std::string_view component,
-                     std::uint64_t wallNanos) override;
 
   /// Annotation key that force-retains the enclosing trace.
   static constexpr std::string_view kRetainKey = "sampler.retain";
@@ -168,8 +165,15 @@ class TraceSampler final : public sim::SpanObserver {
   /// their current reservoir order, after the policy-retained ones).
   [[nodiscard]] std::vector<const SampledTrace*> retained() const;
 
-  /// Canonical id (1-based, dense, sorted by root start/name/component) for
-  /// a retained trace's provisional id; nullopt when the trace was dropped.
+  /// Retained traces in canonical order (sorted by root start/name/
+  /// component): the trace at index i has canonical id i + 1. Exports and
+  /// the analysis plane read this one list, so they agree on trace order
+  /// at every shard and worker count. The list is valid until the next
+  /// flush.
+  [[nodiscard]] const std::vector<const SampledTrace*>& canonical() const;
+
+  /// Canonical id of a retained trace's provisional id; nullopt when the
+  /// trace was dropped.
   [[nodiscard]] std::optional<std::uint64_t> canonicalTraceId(
       std::uint64_t provisionalTraceId) const;
 
@@ -258,7 +262,9 @@ class TraceSampler final : public sim::SpanObserver {
   std::map<std::uint64_t, Pending> pending_;  // provisional trace id ->
   std::deque<SampledTrace> retained_;         // retention order
   std::vector<SampledTrace> reservoir_;       // slowest-K, sorted slowest-first
-  // Lazily rebuilt on the first canonicalTraceId() after a flush.
+  // Lazily rebuilt on the first canonical()/canonicalTraceId() after a
+  // flush.
+  mutable std::vector<const SampledTrace*> canonicalOrder_;
   mutable std::map<std::uint64_t, std::uint64_t> canonical_;
   mutable bool canonicalDirty_ = false;
 

@@ -1,14 +1,14 @@
-// Shared span-tree scaffolding for the analysis plane (critical-path
-// attribution, flame graphs): index a retained trace's flat span list into a
-// parent/children tree and compute envelope-normalized effective ends.
+// The one span-tree builder of the observability plane (Chrome-trace export,
+// critical-path attribution, flame graphs): index a retained trace's flat
+// span list into a parent/children tree and compute envelope-normalized
+// effective ends.
 //
-// Envelope normalization matches the Chrome-trace exporters: a span's
-// effective end covers its latest descendant, so asynchronous children that
-// outlive their parent (message-queue hops, RPC replies, a domain manager's
-// diagnosis landing under an already-cleared episode) still nest. Children
-// are always minted after their parent — every producer (Observer,
-// TraceSampler) appends spans in mint order — so one reverse pass visits
-// every child before its parent.
+// Envelope normalization: a span's effective end covers its latest
+// descendant, so asynchronous children that outlive their parent
+// (message-queue hops, RPC replies, a domain manager's diagnosis landing
+// under an already-cleared episode) still nest. Children are always minted
+// after their parent — the TraceSampler appends spans in mint order — so
+// one reverse pass visits every child before its parent.
 #pragma once
 
 #include <cstddef>

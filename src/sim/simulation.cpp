@@ -198,8 +198,8 @@ void Simulation::validateWindowedRun() const {
   }
   if (observer_ != nullptr && !observer_->shardSafe()) {
     throw std::logic_error(
-        "sharded runs require a shard-safe SpanObserver (the span-store "
-        "Observer is serial-only; attach an obs::TraceSampler instead)");
+        "sharded runs require a shard-safe SpanObserver (attach an "
+        "obs::TraceSampler)");
   }
   const unsigned effectiveThreads =
       std::min<unsigned>(config_.threads, static_cast<unsigned>(shards_.size()));

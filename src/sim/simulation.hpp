@@ -170,7 +170,7 @@ class Simulation {
   /// simulation does not own it; the caller keeps it alive while attached.
   /// Instrumented sites read observer() and skip all span work when it is
   /// null, so an unobserved run schedules no extra events and draws no
-  /// extra randomness. Sharded runs require no observer attached.
+  /// extra randomness. Sharded runs require a shardSafe() observer.
   void setObserver(SpanObserver* observer) { observer_ = observer; }
   [[nodiscard]] SpanObserver* observer() const { return observer_; }
 

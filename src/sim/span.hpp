@@ -2,20 +2,20 @@
 // span of a detection->diagnosis->actuation->recovery chain, and SpanObserver
 // is the abstract sink the Simulation exposes to every subsystem.
 //
-// The concrete implementation lives in src/obs (span storage, Chrome-trace
-// and metrics exporters); the kernel and the instrumented subsystems only
-// see this interface. With no observer attached (the default) every
-// instrumented site costs one pointer load + branch — no events, no random
-// draws, no allocations — so runs replay byte-identically to an
-// uninstrumented build. Span ids are minted from plain counters, never from
-// a RandomStream, so enabled runs stay deterministic too.
+// The concrete implementation lives in src/obs (the tail sampler and the
+// exporters); the kernel and the instrumented subsystems only see this
+// interface. With no observer attached (the default) every instrumented site
+// costs one pointer load + branch — no events, no random draws, no
+// allocations — so runs replay byte-identically to an uninstrumented build.
+// Span ids are minted from plain counters, never from a RandomStream, so
+// enabled runs stay deterministic too.
 #pragma once
 
-#include <chrono>
+#include <charconv>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "sim/time.hpp"
 
@@ -37,27 +37,27 @@ struct TraceContext {
   }
 
   /// Parse the wire form; malformed text yields an invalid context (the
-  /// receiver simply records no spans) rather than an error.
+  /// receiver simply records no spans) rather than an error. Both ids must
+  /// be non-empty, fully consumed decimal fields that fit in 64 bits and
+  /// are nonzero: an overflowing id would alias a real trace, and span 0 is
+  /// the root marker.
   static TraceContext parse(std::string_view text) {
-    TraceContext ctx;
     const std::size_t colon = text.find(':');
-    if (colon == std::string_view::npos) return ctx;
+    if (colon == std::string_view::npos) return {};
     std::uint64_t trace = 0;
     std::uint64_t span = 0;
-    for (std::size_t i = 0; i < colon; ++i) {
-      const char c = text[i];
-      if (c < '0' || c > '9') return ctx;
-      trace = trace * 10 + static_cast<std::uint64_t>(c - '0');
+    if (!parseId(text.substr(0, colon), trace) ||
+        !parseId(text.substr(colon + 1), span)) {
+      return {};
     }
-    for (std::size_t i = colon + 1; i < text.size(); ++i) {
-      const char c = text[i];
-      if (c < '0' || c > '9') return ctx;
-      span = span * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (trace == 0) return ctx;
-    ctx.traceId = trace;
-    ctx.spanId = span;
-    return ctx;
+    return TraceContext{trace, span, 0};
+  }
+
+ private:
+  static bool parseId(std::string_view field, std::uint64_t& out) {
+    const char* const end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    return !field.empty() && ec == std::errc{} && ptr == end && out != 0;
   }
 };
 
@@ -101,43 +101,16 @@ class SpanObserver {
                                std::string_view component) = 0;
 
   /// Kernel profiling hook: one event was executed at `now` with `depth`
-  /// events still queued, taking `wallNanos` of host time.
-  virtual void onEventExecuted(SimTime now, std::size_t depth,
-                               std::uint64_t wallNanos) = 0;
+  /// events still queued, taking `wallNanos` of host time. Called by the
+  /// serial kernel only; the default ignores it.
+  virtual void onEventExecuted(SimTime /*now*/, std::size_t /*depth*/,
+                               std::uint64_t /*wallNanos*/) {}
 
   /// Component profiling hook: one instrumented callback of `component`
-  /// took `wallNanos` of host time.
-  virtual void recordProfile(std::string_view component,
-                             std::uint64_t wallNanos) = 0;
-};
-
-/// RAII wall-clock probe for per-component callback profiling. With a null
-/// observer the constructor and destructor are a single branch each — no
-/// clock is read.
-class ProfileTimer {
- public:
-  ProfileTimer(SpanObserver* observer, std::string_view component)
-      : observer_(observer), component_(component) {
-    if (observer_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-
-  ~ProfileTimer() {
-    if (observer_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    observer_->recordProfile(
-        component_,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-  }
-
-  ProfileTimer(const ProfileTimer&) = delete;
-  ProfileTimer& operator=(const ProfileTimer&) = delete;
-
- private:
-  SpanObserver* observer_;
-  std::string_view component_;
-  std::chrono::steady_clock::time_point start_;
+  /// took `wallNanos` of host time. Nothing in the library calls it; the
+  /// default ignores it.
+  virtual void recordProfile(std::string_view /*component*/,
+                             std::uint64_t /*wallNanos*/) {}
 };
 
 }  // namespace softqos::sim

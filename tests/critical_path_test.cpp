@@ -12,7 +12,6 @@
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/flame.hpp"
-#include "obs/observer.hpp"
 #include "sim/simulation.hpp"
 
 using namespace softqos;
@@ -190,24 +189,6 @@ TEST(CriticalPath, IncompleteAndOrphanTreesAreCountedNotAnalyzed) {
   EXPECT_TRUE(analyzer.analyzeTree(orphaned, 4).has_value());
   EXPECT_EQ(analyzer.orphanSpans(), 1u);
   EXPECT_EQ(analyzer.episodesAnalyzed(), 1u);
-}
-
-TEST(CriticalPath, ObserverTreesAnalyzeLikeSampledOnes) {
-  sim::Simulation sim;
-  obs::Observer observer(sim);
-  const auto root = observer.beginTrace(0, "episode:x", "host");
-  const auto diag = observer.beginSpan(100, root, "diagnose", "hm:host");
-  observer.endSpan(400, diag);
-  observer.endSpan(1000, root);
-
-  CriticalPathAnalyzer analyzer;
-  analyzer.analyze(observer);
-  ASSERT_EQ(analyzer.episodesAnalyzed(), 1u);
-  const EpisodeAttribution& ep = analyzer.episodes().front();
-  EXPECT_EQ(ep.segmentSum(), 1000);
-  EXPECT_EQ(ep.segmentTotal(obs::kSegDiagnose), 300);
-  EXPECT_EQ(ep.segmentTotal(obs::kSegSenseReport), 100);
-  EXPECT_EQ(ep.segmentTotal(obs::kSegRecover), 600);
 }
 
 TEST(Flame, SelfWeightsSumToRootEnvelope) {

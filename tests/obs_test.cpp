@@ -1,7 +1,8 @@
-// Tests for the observability plane: trace-context wire format, the span
-// store (lifecycle, ring cap), kernel/RPC span propagation, exporters, and
-// the end-to-end detection -> diagnosis -> actuation -> recovery chain
-// produced by the managed testbed.
+// Tests for the observability plane: trace-context wire format, the trace
+// store (the keep-all TraceSampler: span lifecycle, detach), kernel/RPC span
+// propagation, exporters, and the end-to-end detection -> diagnosis ->
+// actuation -> recovery chain produced by the managed testbed, on the serial
+// kernel and sharded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,7 @@
 #include "net/nic.hpp"
 #include "net/rpc.hpp"
 #include "obs/export.hpp"
-#include "obs/observer.hpp"
+#include "obs/sampler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/span.hpp"
 
@@ -42,13 +43,53 @@ TEST(TraceContext, MalformedTextParsesInvalid) {
   EXPECT_FALSE(sim::TraceContext::parse("1:2:3").valid());
   EXPECT_FALSE(sim::TraceContext::parse("0:5").valid());   // trace 0 = invalid
   EXPECT_FALSE(sim::TraceContext::parse("1x:5").valid());
+  // 2^64 + 1 must not wrap around to trace 1 and alias a real trace.
+  EXPECT_FALSE(sim::TraceContext::parse("18446744073709551617:1").valid());
+  // An empty or zero span id would read as a second root.
+  EXPECT_FALSE(sim::TraceContext::parse("5:").valid());
+  EXPECT_FALSE(sim::TraceContext::parse("5:0").valid());
+  EXPECT_FALSE(sim::TraceContext::parse(":5").valid());
+  EXPECT_FALSE(sim::TraceContext::parse("-1:5").valid());
+  EXPECT_FALSE(sim::TraceContext::parse("+1:5").valid());
+  EXPECT_FALSE(sim::TraceContext::parse(" 1:5").valid());
+  // The largest id still parses.
+  const sim::TraceContext max =
+      sim::TraceContext::parse("18446744073709551615:1");
+  EXPECT_TRUE(max.valid());
+  EXPECT_EQ(max.traceId, 18446744073709551615u);
 }
 
-// ---- Span store ----
+// ---- Trace store ----
 
+// The keep-all sampler the traced testbed attaches.
+obs::SamplerConfig keepAll() {
+  obs::SamplerConfig config;
+  config.baselineProbability = 1.0;
+  config.maxRetainedSpans = 0;
+  return config;
+}
+
+// The retained span named `name`, searching every retained trace; `trace`
+// receives its trace. Null when no retained span has that name.
+const obs::SampledSpan* findSpan(const obs::TraceSampler& sampler,
+                                 const std::string& name,
+                                 const obs::SampledTrace** trace = nullptr) {
+  for (const obs::SampledTrace* t : sampler.canonical()) {
+    for (const obs::SampledSpan& sp : t->spans) {
+      if (sp.name != name) continue;
+      if (trace != nullptr) *trace = t;
+      return &sp;
+    }
+  }
+  return nullptr;
+}
+
+// Spans are driven by hand here. The sampler stamps annotations with the
+// current sim time and orders records by time, so a test advances the clock
+// to a span's start before annotating it.
 struct ObserverFixture : ::testing::Test {
   sim::Simulation s{1};
-  obs::Observer ob{s};
+  obs::TraceSampler ob{s, keepAll()};
 };
 
 TEST_F(ObserverFixture, SpanLifecycle) {
@@ -62,24 +103,31 @@ TEST_F(ObserverFixture, SpanLifecycle) {
   EXPECT_EQ(child.traceId, root.traceId);
   EXPECT_EQ(child.parentSpanId, root.spanId);
 
+  s.runUntil(sim::msec(2));
   ob.annotate(child, "pid", "12");
   ob.endSpan(sim::msec(5), child);
   ob.endSpan(sim::msec(9), root);
+  ob.finalFlush();
 
-  ASSERT_EQ(ob.spans().size(), 2u);
-  const obs::Span* rootSpan = ob.findSpan(root.spanId);
-  ASSERT_NE(rootSpan, nullptr);
-  EXPECT_EQ(rootSpan->name, "episode:fps");
-  EXPECT_EQ(rootSpan->component, "sensor:s1");
-  EXPECT_EQ(rootSpan->start, sim::msec(1));
-  EXPECT_EQ(rootSpan->end, sim::msec(9));
-  EXPECT_FALSE(rootSpan->open());
+  ASSERT_EQ(ob.retainedCount(), 1u);
+  const obs::SampledTrace& trace = *ob.canonical().front();
+  EXPECT_EQ(trace.provisionalTraceId, root.traceId);
+  EXPECT_EQ(trace.reason, "baseline");
+  EXPECT_TRUE(trace.complete);
+  ASSERT_EQ(trace.spans.size(), 2u);
+  const obs::SampledSpan& rootSpan = trace.spans[0];
+  EXPECT_EQ(rootSpan.spanId, root.spanId);
+  EXPECT_EQ(rootSpan.name, "episode:fps");
+  EXPECT_EQ(rootSpan.component, "sensor:s1");
+  EXPECT_EQ(rootSpan.start, sim::msec(1));
+  EXPECT_EQ(rootSpan.end, sim::msec(9));
+  EXPECT_FALSE(rootSpan.open());
 
-  const obs::Span* childSpan = ob.findSpan(child.spanId);
-  ASSERT_NE(childSpan, nullptr);
-  ASSERT_EQ(childSpan->annotations.size(), 1u);
-  EXPECT_EQ(childSpan->annotations[0].first, "pid");
-  EXPECT_EQ(childSpan->annotations[0].second, "12");
+  const obs::SampledSpan& childSpan = trace.spans[1];
+  EXPECT_EQ(childSpan.spanId, child.spanId);
+  ASSERT_EQ(childSpan.annotations.size(), 1u);
+  EXPECT_EQ(childSpan.annotations[0].first, "pid");
+  EXPECT_EQ(childSpan.annotations[0].second, "12");
 }
 
 TEST_F(ObserverFixture, InvalidParentStartsFreshTrace) {
@@ -95,72 +143,34 @@ TEST_F(ObserverFixture, InstantIsZeroDuration) {
   const sim::TraceContext root = ob.beginTrace(sim::msec(1), "root", "c");
   const sim::TraceContext mark =
       ob.instant(sim::msec(3), root, "actuate:boost-cpu", "qoshm:h");
-  const obs::Span* span = ob.findSpan(mark.spanId);
+  ob.finalFlush();
+  const obs::SampledSpan* span = findSpan(ob, "actuate:boost-cpu");
   ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->spanId, mark.spanId);
   EXPECT_EQ(span->start, sim::msec(3));
   EXPECT_EQ(span->end, sim::msec(3));
   EXPECT_FALSE(span->open());
   EXPECT_EQ(span->parentSpanId, root.spanId);
 }
 
-TEST_F(ObserverFixture, RingCapDropsOldestAndEvictedSpansNoOp) {
-  ob.setMaxSpans(2);
-  const sim::TraceContext first = ob.beginTrace(0, "first", "c");
-  ob.beginTrace(0, "second", "c");
-  ob.beginTrace(0, "third", "c");
-
-  EXPECT_EQ(ob.spans().size(), 2u);
-  EXPECT_EQ(ob.droppedSpans(), 1u);
-  EXPECT_EQ(ob.totalSpans(), 3u);
-  EXPECT_EQ(ob.findSpan(first.spanId), nullptr);
-  EXPECT_EQ(ob.spans().front().name, "second");
-
-  // Closing or annotating an evicted span must be a silent no-op.
-  ob.endSpan(sim::msec(1), first);
-  ob.annotate(first, "k", "v");
-  EXPECT_EQ(ob.spans().front().name, "second");
-}
-
-TEST_F(ObserverFixture, SettingCapTrimsExistingSpans) {
-  for (int i = 0; i < 5; ++i) ob.beginTrace(0, "t", "c");
-  ob.setMaxSpans(2);
-  EXPECT_EQ(ob.spans().size(), 2u);
-  EXPECT_EQ(ob.droppedSpans(), 3u);
-}
-
 TEST_F(ObserverFixture, DetachStopsRecordingAndProfiling) {
-  s.after(sim::msec(1), [] {});
+  const auto traceIfObserved = [this](const char* name) {
+    if (sim::SpanObserver* o = s.observer()) {
+      o->endSpan(s.now(), o->beginTrace(s.now(), name, "c"));
+    }
+  };
+  s.after(sim::msec(1), [&] { traceIfObserved("attached"); });
   s.runAll();
-  const sim::Histogram* cb = s.metrics().histogram("evq.callback_ns");
-  ASSERT_NE(cb, nullptr);
-  const std::uint64_t before = cb->count();
-  EXPECT_GT(before, 0u);
 
   ob.detach();
   EXPECT_EQ(s.observer(), nullptr);
-  s.after(sim::msec(2), [] {});
+  s.after(sim::msec(2), [&] { traceIfObserved("detached"); });
   s.runAll();
-  EXPECT_EQ(cb->count(), before);
-}
 
-TEST_F(ObserverFixture, KernelProfilingFillsHistograms) {
-  for (int i = 0; i < 10; ++i) s.after(sim::msec(i + 1), [] {});
-  s.runAll();
-  const sim::Histogram* depth = s.metrics().histogram("evq.depth");
-  const sim::Histogram* cb = s.metrics().histogram("evq.callback_ns");
-  ASSERT_NE(depth, nullptr);
-  ASSERT_NE(cb, nullptr);
-  EXPECT_EQ(depth->count(), 10u);
-  EXPECT_EQ(cb->count(), 10u);
-}
-
-TEST_F(ObserverFixture, ProfileTimerRecordsPerComponentHistogram) {
-  {
-    sim::ProfileTimer t(&ob, "coordinator");
-  }
-  const sim::Histogram* h = s.metrics().histogram("profile.coordinator.wall_ns");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 1u);
+  ob.finalFlush();
+  EXPECT_EQ(ob.totalTraces(), 1u);
+  EXPECT_NE(findSpan(ob, "attached"), nullptr);
+  EXPECT_EQ(findSpan(ob, "detached"), nullptr);
 }
 
 // ---- Exporters ----
@@ -172,6 +182,7 @@ TEST_F(ObserverFixture, ChromeTraceEnvelopeNormalization) {
   const sim::TraceContext child = ob.beginSpan(sim::msec(2), root, "kid", "c");
   ob.endSpan(sim::msec(5), root);
   ob.endSpan(sim::msec(9), child);
+  ob.finalFlush();
 
   const std::string json = obs::chromeTraceJson(ob);
   // root: ts=1000, normalized dur = 9000-1000.
@@ -184,6 +195,7 @@ TEST_F(ObserverFixture, ChromeTraceEscapesJsonSpecials) {
   const sim::TraceContext root = ob.beginTrace(0, "quo\"te", "back\\slash");
   ob.annotate(root, "key", "line\nbreak");
   ob.endSpan(sim::msec(1), root);
+  ob.finalFlush();
   const std::string json = obs::chromeTraceJson(ob);
   EXPECT_NE(json.find("quo\\\"te"), std::string::npos);
   EXPECT_NE(json.find("back\\\\slash"), std::string::npos);
@@ -204,30 +216,24 @@ TEST(MetricsJson, SnapshotsAllMetricKinds) {
 
 TEST(MetricsJson, ObservabilitySectionSurfacesRingDropCounters) {
   sim::Simulation s{1};
-  obs::Observer ob{s};
-  const sim::TraceContext root = ob.beginTrace(0, "episode:test", "test");
-  ob.instant(0, root, "violation", "test");
-  ob.endSpan(sim::msec(1), root);
-
-  obs::TraceSampler sampler(s, {});  // takes over as the active observer
-  sampler.beginTrace(sim::msec(2), "episode:other", "test");
+  obs::TraceSampler sampler(s, {});
+  const sim::TraceContext root = sampler.beginTrace(0, "episode:test", "test");
+  sampler.instant(0, root, "violation", "test");
+  sampler.endSpan(sim::msec(1), root);
   sampler.finalFlush();
 
-  const std::string json =
-      obs::metricsJson(s.metrics(), &s.trace(), &ob, &sampler);
+  const std::string json = obs::metricsJson(s.metrics(), &s.trace(), &sampler);
   EXPECT_NE(json.find("\"observability\""), std::string::npos);
   // sim::Trace ring: tracing is off here, so empty but reported.
   EXPECT_NE(json.find("\"trace_ring\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_records\":0"), std::string::npos);
-  // Span store: the root and its instant, none dropped by the ring cap.
-  EXPECT_NE(json.find("\"span_store\""), std::string::npos);
-  EXPECT_NE(json.find("\"total_spans\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_spans\":0"), std::string::npos);
-  // Sampler: one trace seen; every eviction class reported.
+  // Sampler: one trace of two spans seen; every eviction class reported.
   EXPECT_NE(json.find("\"sampler\""), std::string::npos);
   EXPECT_NE(json.find("\"total_traces\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"total_spans\":2"), std::string::npos);
   EXPECT_NE(json.find("\"orphan_records\""), std::string::npos);
   EXPECT_NE(json.find("\"evicted_pending\""), std::string::npos);
+  EXPECT_NE(json.find("\"evicted_retained\":0"), std::string::npos);
 
   // Without the planes, the section is absent and the 1-arg overload's
   // output is unchanged.
@@ -239,7 +245,7 @@ TEST(MetricsJson, ObservabilitySectionSurfacesRingDropCounters) {
 
 struct TracedRpcFixture : ::testing::Test {
   sim::Simulation s{1};
-  obs::Observer ob{s};
+  obs::TraceSampler ob{s, keepAll()};
   net::Network net{s};
   osim::Host ha{s, "a"};
   osim::Host hb{s, "b"};
@@ -251,9 +257,10 @@ struct TracedRpcFixture : ::testing::Test {
     net.link(net.attachHost(ha), net.attachHost(hb), link);
   }
 
-  [[nodiscard]] bool hasSpanNamed(const std::string& name) const {
-    return std::any_of(ob.spans().begin(), ob.spans().end(),
-                       [&](const obs::Span& sp) { return sp.name == name; });
+  // Resolves every trace, so call it once the run is over.
+  [[nodiscard]] bool hasSpanNamed(const std::string& name) {
+    ob.finalFlush();
+    return findSpan(ob, name) != nullptr;
   }
 };
 
@@ -276,15 +283,14 @@ TEST_F(TracedRpcFixture, CallAndServeSpansJoinOneTrace) {
 
   ASSERT_TRUE(hasSpanNamed("rpc:echo"));
   ASSERT_TRUE(hasSpanNamed("serve:echo"));
-  const obs::Span* call = nullptr;
-  const obs::Span* serve = nullptr;
-  for (const obs::Span& sp : ob.spans()) {
-    if (sp.name == "rpc:echo") call = &sp;
-    if (sp.name == "serve:echo") serve = &sp;
-  }
-  EXPECT_EQ(call->traceId, root.traceId);
+  const obs::SampledTrace* callTrace = nullptr;
+  const obs::SampledTrace* serveTrace = nullptr;
+  const obs::SampledSpan* call = findSpan(ob, "rpc:echo", &callTrace);
+  const obs::SampledSpan* serve = findSpan(ob, "serve:echo", &serveTrace);
+  EXPECT_EQ(callTrace->provisionalTraceId, root.traceId);
   EXPECT_EQ(call->parentSpanId, root.spanId);
-  EXPECT_EQ(serve->traceId, root.traceId);  // context crossed the wire
+  // The context crossed the wire.
+  EXPECT_EQ(serveTrace->provisionalTraceId, root.traceId);
   EXPECT_FALSE(call->open());
   EXPECT_FALSE(serve->open());
   // The successful call records its attempt count.
@@ -319,16 +325,13 @@ TEST_F(TracedRpcFixture, RetriesStayInsideTheCallSpan) {
   EXPECT_GE(ea.retries(), 1u);
 
   ASSERT_TRUE(hasSpanNamed("retry:2"));
-  const obs::Span* call = nullptr;
-  const obs::Span* retry = nullptr;
-  for (const obs::Span& sp : ob.spans()) {
-    if (sp.name == "rpc:ping") call = &sp;
-    if (sp.name == "retry:2") retry = &sp;
-  }
+  const obs::SampledTrace* retryTrace = nullptr;
+  const obs::SampledSpan* call = findSpan(ob, "rpc:ping");
+  const obs::SampledSpan* retry = findSpan(ob, "retry:2", &retryTrace);
   ASSERT_NE(call, nullptr);
   ASSERT_NE(retry, nullptr);
   EXPECT_EQ(retry->parentSpanId, call->spanId);  // nested in the call span
-  EXPECT_EQ(retry->traceId, root.traceId);
+  EXPECT_EQ(retryTrace->provisionalTraceId, root.traceId);
 }
 
 TEST_F(TracedRpcFixture, DuplicateSuppressionEmitsInstant) {
@@ -376,19 +379,20 @@ TEST(ObsEndToEnd, ManagedTestbedProducesCompleteCausalChain) {
   config.seed = 1234;
   config.observability = true;
   apps::Testbed bed(config);
-  ASSERT_NE(bed.observer, nullptr);
-  ASSERT_EQ(bed.sim.observer(), bed.observer.get());
+  ASSERT_NE(bed.sampler, nullptr);
+  ASSERT_EQ(bed.sim.observer(), bed.sampler.get());
 
   bed.startVideo("silver");
   bed.clientLoad.setWorkers(6);
   bed.clientHost.loadSampler().prime(7.0);
   bed.sim.runUntil(sim::sec(40));
+  bed.sampler->finalFlush();
 
   // A violation episode was detected, diagnosed, actuated on and recovered.
-  const obs::Span* episode = nullptr;
-  for (const obs::Span& sp : bed.observer->spans()) {
-    if (sp.name.rfind("episode:", 0) == 0 && !sp.open()) {
-      episode = &sp;
+  const obs::SampledTrace* episode = nullptr;
+  for (const obs::SampledTrace* t : bed.sampler->canonical()) {
+    if (t->rootName.rfind("episode:", 0) == 0 && t->complete) {
+      episode = t;
       break;
     }
   }
@@ -398,8 +402,7 @@ TEST(ObsEndToEnd, ManagedTestbedProducesCompleteCausalChain) {
   bool sawRule = false;
   bool sawActuate = false;
   bool sawRecovered = false;
-  for (const obs::Span& sp : bed.observer->spans()) {
-    if (sp.traceId != episode->traceId) continue;
+  for (const obs::SampledSpan& sp : episode->spans) {
     if (sp.name == "diagnose") sawDiagnose = true;
     if (sp.name.rfind("rule:", 0) == 0) sawRule = true;
     if (sp.name.rfind("actuate:", 0) == 0) sawActuate = true;
@@ -424,27 +427,10 @@ TEST(ObsEndToEnd, ManagedTestbedProducesCompleteCausalChain) {
   EXPECT_GE(fire->count(), 1u);
 }
 
-// Blank out the values of wall-clock annotations ("wall_ns":"<digits>"):
-// they profile host time and legitimately differ between identical runs.
-std::string scrubWallClock(const std::string& json) {
-  const std::string key = "\"wall_ns\":\"";
-  std::string out;
-  std::size_t pos = 0;
-  for (std::size_t hit; (hit = json.find(key, pos)) != std::string::npos;) {
-    const std::size_t v = hit + key.size();
-    out.append(json, pos, v - pos);
-    out += '0';
-    pos = json.find('"', v);
-    if (pos == std::string::npos) pos = json.size();
-  }
-  out.append(json, pos, std::string::npos);
-  return out;
-}
-
 TEST(ObsEndToEnd, TracedRunsAreDeterministic) {
-  // Same seed + same scenario => identical trace export up to wall-clock
-  // profiling values (span ids and all simulated timestamps come from
-  // counters and the simulation clock, never from random streams).
+  // Same seed + same scenario => byte-identical trace export: span ids and
+  // all simulated timestamps come from counters and the simulation clock,
+  // never from random streams, and no span carries a wall-clock value.
   const auto runOnce = [] {
     apps::TestbedConfig config;
     config.seed = 77;
@@ -454,12 +440,42 @@ TEST(ObsEndToEnd, TracedRunsAreDeterministic) {
     bed.clientLoad.setWorkers(6);
     bed.clientHost.loadSampler().prime(7.0);
     bed.sim.runUntil(sim::sec(20));
-    return scrubWallClock(obs::chromeTraceJson(*bed.observer));
+    bed.sampler->finalFlush();
+    return obs::chromeTraceJson(*bed.sampler);
   };
   const std::string a = runOnce();
   const std::string b = runOnce();
   EXPECT_EQ(a, b);
   EXPECT_GT(a.size(), 2u);
+}
+
+// obs_export's default scenario: CPU contention on the client, then
+// bottleneck cross traffic, then a quiet tail.
+std::string tracedExportScenario(unsigned parallelShards) {
+  apps::TestbedConfig config;
+  config.seed = 1234;
+  config.observability = true;
+  config.parallelShards = parallelShards;
+  apps::Testbed bed(config);
+  bed.startVideo("silver");
+  bed.clientLoad.setWorkers(6);
+  bed.clientHost.loadSampler().prime(7.0);
+  bed.sim.runUntil(sim::sec(30));
+  bed.setCrossTraffic(9.0);
+  bed.sim.runUntil(sim::sec(60));
+  bed.setCrossTraffic(0.0);
+  bed.sim.runUntil(sim::sec(90));
+  bed.sampler->finalFlush();
+  return obs::chromeTraceJson(*bed.sampler);
+}
+
+TEST(ObsEndToEnd, ShardedTestbedTraceMatchesSerial) {
+  // The sampler is shard-safe and its ids serialize to the same length at
+  // every shard count, so tracing a sharded testbed exports exactly the
+  // serial run's document.
+  const std::string serial = tracedExportScenario(1);
+  ASSERT_NE(serial.find("fault-localization"), std::string::npos);
+  EXPECT_EQ(tracedExportScenario(3), serial);
 }
 
 TEST(ObsEndToEnd, ReactionLatencyRecordedEvenWithoutObserver) {
@@ -468,7 +484,8 @@ TEST(ObsEndToEnd, ReactionLatencyRecordedEvenWithoutObserver) {
   apps::TestbedConfig config;
   config.seed = 1234;
   apps::Testbed bed(config);
-  EXPECT_EQ(bed.observer, nullptr);
+  EXPECT_EQ(bed.sampler, nullptr);
+  EXPECT_EQ(bed.sim.observer(), nullptr);
   bed.startVideo("silver");
   bed.clientLoad.setWorkers(6);
   bed.clientHost.loadSampler().prime(7.0);
@@ -477,8 +494,12 @@ TEST(ObsEndToEnd, ReactionLatencyRecordedEvenWithoutObserver) {
       bed.sim.metrics().histogram("qos.reaction_latency_us");
   ASSERT_NE(lat, nullptr);
   EXPECT_GE(lat->count(), 1u);
-  // ... but no spans and no wall-clock profiling exist.
-  EXPECT_EQ(bed.sim.metrics().histogram("evq.callback_ns"), nullptr);
+  // ... but no rule firing was wall-clock timed (untimed firings record 0).
+  const sim::Histogram* fire =
+      bed.sim.metrics().histogram("rules.fire_wall_ns");
+  ASSERT_NE(fire, nullptr);
+  EXPECT_GE(fire->count(), 1u);
+  EXPECT_EQ(fire->max(), 0.0);
 }
 
 }  // namespace

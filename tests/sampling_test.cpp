@@ -8,12 +8,12 @@
 // same byte length everywhere.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/city.hpp"
 #include "obs/export.hpp"
-#include "obs/observer.hpp"
 #include "obs/sampler.hpp"
 #include "sim/simulation.hpp"
 #include "sim/span.hpp"
@@ -114,6 +114,15 @@ TEST_F(SamplerFixture, ReservoirKeepsExactlyTheSlowestK) {
   EXPECT_EQ(names, (std::vector<std::string>{"e:c", "e:d"}));
   EXPECT_EQ(sampler.reservoirEvictions(), 2u);
   EXPECT_EQ(sampler.droppedTraces(), 2u);  // evictions fold into stats
+
+  // The canonical list and canonicalTraceId agree: index i is id i + 1 (the
+  // Chrome export numbers traces by index, exemplars resolve by id).
+  const std::vector<const obs::SampledTrace*>& canonical = sampler.canonical();
+  ASSERT_EQ(canonical.size(), 2u);
+  for (std::size_t i = 0; i < canonical.size(); ++i) {
+    EXPECT_EQ(sampler.canonicalTraceId(canonical[i]->provisionalTraceId),
+              std::optional<std::uint64_t>(i + 1));
+  }
 }
 
 TEST_F(SamplerFixture, BaselineDrawIsSeededPerTraceKey) {
@@ -193,21 +202,6 @@ TEST_F(SamplerFixture, FinalFlushResolvesLingeringCompleteAndOpenTraces) {
   }
 }
 
-TEST_F(SamplerFixture, WallClockAnnotationsAreDropped) {
-  obs::TraceSampler sampler(s, base());
-  const sim::TraceContext ctx =
-      sampler.beginTrace(0, "fault-localization", "dm");
-  sampler.annotate(ctx, "wall_ns", "12345");  // varies run to run
-  sampler.annotate(ctx, "facts", "1,2");
-  sampler.endSpan(sim::msec(2), ctx);
-  sampler.flush();
-
-  ASSERT_EQ(sampler.retainedCount(), 1u);
-  const obs::SampledTrace* t = sampler.retained()[0];
-  ASSERT_EQ(t->spans[0].annotations.size(), 1u);
-  EXPECT_EQ(t->spans[0].annotations[0].first, "facts");
-}
-
 TEST_F(SamplerFixture, PendingCapEvictsButHonorsFiredTriggers) {
   obs::SamplerConfig config = base();
   config.maxPendingTraces = 2;
@@ -259,6 +253,26 @@ TEST_F(SamplerFixture, FullRecordBufferDropsAndCounts) {
 
 // ---- Shard-safety gate ---------------------------------------------------
 
+// A serial-only observer: keeps the SpanObserver default shardSafe() ==
+// false and records nothing.
+struct SerialOnlyObserver final : sim::SpanObserver {
+  sim::TraceContext beginTrace(sim::SimTime, std::string_view,
+                               std::string_view) override {
+    return {};
+  }
+  sim::TraceContext beginSpan(sim::SimTime, const sim::TraceContext&,
+                              std::string_view, std::string_view) override {
+    return {};
+  }
+  void endSpan(sim::SimTime, const sim::TraceContext&) override {}
+  void annotate(const sim::TraceContext&, std::string_view,
+                std::string_view) override {}
+  sim::TraceContext instant(sim::SimTime, const sim::TraceContext&,
+                            std::string_view, std::string_view) override {
+    return {};
+  }
+};
+
 TEST(SamplerSharding, SpanStoreObserverIsRejectedInShardedRuns) {
   apps::CityConfig config;
   config.tiers = 2;
@@ -266,9 +280,10 @@ TEST(SamplerSharding, SpanStoreObserverIsRejectedInShardedRuns) {
   config.hostsPerRack = 2;
   config.shards = 2;
   apps::City city(config);
-  obs::Observer store(city.sim);  // serial-only span store
+  SerialOnlyObserver store;
+  city.sim.setObserver(&store);
   EXPECT_THROW(city.run(sim::msec(100)), std::logic_error);
-  store.detach();
+  city.sim.setObserver(nullptr);
   EXPECT_NO_THROW(city.run(sim::msec(100)));
 }
 

@@ -275,6 +275,51 @@ TEST(Simulation, PeriodicReArmLosesTiesToCallbackScheduledWork) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
 }
 
+// A span observer that only counts the kernel's per-event profiling hook
+// (the contract a profiling observer relies on).
+struct EventCountingObserver final : SpanObserver {
+  TraceContext beginTrace(SimTime, std::string_view, std::string_view) override {
+    return {};
+  }
+  TraceContext beginSpan(SimTime, const TraceContext&, std::string_view,
+                         std::string_view) override {
+    return {};
+  }
+  void endSpan(SimTime, const TraceContext&) override {}
+  void annotate(const TraceContext&, std::string_view,
+                std::string_view) override {}
+  TraceContext instant(SimTime, const TraceContext&, std::string_view,
+                       std::string_view) override {
+    return {};
+  }
+  void onEventExecuted(SimTime now, std::size_t depth,
+                       std::uint64_t /*wallNanos*/) override {
+    times.push_back(now);
+    depths.push_back(depth);
+  }
+
+  std::vector<SimTime> times;
+  std::vector<std::size_t> depths;
+};
+
+TEST(Simulation, ObserverSeesEveryExecutedEventOnTheSerialKernel) {
+  Simulation s;
+  EventCountingObserver counter;
+  s.setObserver(&counter);
+  for (int i = 0; i < 10; ++i) s.after(msec(i + 1), [] {});
+  s.runAll();
+  ASSERT_EQ(counter.times.size(), 10u);
+  EXPECT_EQ(counter.times.front(), msec(1));
+  EXPECT_EQ(counter.times.back(), msec(10));
+  EXPECT_EQ(counter.depths.front(), 9u);  // events still queued at dispatch
+  EXPECT_EQ(counter.depths.back(), 0u);
+
+  s.setObserver(nullptr);
+  s.after(msec(1), [] {});
+  s.runAll();
+  EXPECT_EQ(counter.times.size(), 10u);  // detached: no more calls
+}
+
 // ---- RandomStream ----
 
 TEST(RandomStream, SameSeedSameNameIsDeterministic) {

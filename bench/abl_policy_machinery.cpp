@@ -1,8 +1,10 @@
-// Ablation E7: cost of the policy machinery — repository search vs. size,
-// obligation parsing, compilation, LDIF round trips and filter evaluation.
+// Ablation E7: cost of the policy machinery — repository lookups vs. size
+// (cached and after a write), obligation parsing, compilation, LDIF round
+// trips and filter evaluation.
 #include <benchmark/benchmark.h>
 
 #include "apps/video_model.hpp"
+#include "distribution/admin.hpp"
 #include "distribution/repository.hpp"
 #include "ldapdir/ldif.hpp"
 #include "policy/compile.hpp"
@@ -37,6 +39,23 @@ void BM_PoliciesForLookup(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(0)) + " policies");
 }
 BENCHMARK(BM_PoliciesForLookup)->Arg(4)->Arg(32)->Arg(128);
+
+/// The same lookup after an admin write: disabling and re-enabling a policy
+/// the lookup matches drops its decoded copy, so each lookup decodes it
+/// again (the write-then-read path of an auto-push).
+void BM_PoliciesForLookupAfterWrite(benchmark::State& state) {
+  distribution::RepositoryService repo;
+  seed(repo, static_cast<int>(state.range(0)));
+  distribution::AdminTool admin(repo);
+  for (auto _ : state) {
+    admin.disablePolicy("policy-1");
+    admin.enablePolicy("policy-1");
+    benchmark::DoNotOptimize(
+        repo.policiesFor("VideoConference", "VideoApplication", "gold"));
+  }
+  state.SetLabel(std::to_string(state.range(0)) + " policies");
+}
+BENCHMARK(BM_PoliciesForLookupAfterWrite)->Arg(128);
 
 /// Obligation-notation parse (Example 1).
 void BM_ObligationParse(benchmark::State& state) {

@@ -66,9 +66,14 @@ std::vector<policy::CompiledPolicy> PolicyAgent::compileFor(
     return std::string{};
   };
 
+  std::vector<policy::PolicySpec> specs;
+  try {
+    specs = repository_.policiesFor(reg.application, reg.executable, reg.role);
+  } catch (const policy::MappingError& e) {
+    throw PolicyAgentError(e.what());
+  }
   std::vector<policy::CompiledPolicy> compiled;
-  for (const policy::PolicySpec& spec :
-       repository_.policiesFor(reg.application, reg.executable, reg.role)) {
+  for (const policy::PolicySpec& spec : specs) {
     try {
       compiled.push_back(
           policy::compilePolicy(spec, sensorForAttribute, nextComparisonId_));

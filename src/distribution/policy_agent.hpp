@@ -101,8 +101,9 @@ class PolicyAgent {
 
   /// Register a starting process; compiles and installs its policies.
   /// Returns the number of policies delivered. Throws PolicyAgentError if
-  /// the executable is unknown or a policy references an attribute no
-  /// sensor of the executable can monitor; throws AdmissionError when the
+  /// the executable is unknown, a policy it gets has a dangling condition or
+  /// action reference, or references an attribute no sensor of the
+  /// executable can monitor; throws AdmissionError when the
   /// contract plane rejects the requested-vs-offered match. Re-registering
   /// a live pid (restart with a recycled id) replaces the dead session —
   /// the stale coordinator pointer is dropped untouched, never duplicated.

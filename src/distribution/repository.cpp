@@ -1,5 +1,7 @@
 #include "distribution/repository.hpp"
 
+#include <algorithm>
+
 namespace softqos::distribution {
 
 using ldapdir::Dn;
@@ -8,9 +10,47 @@ using ldapdir::Filter;
 using ldapdir::LdapResult;
 using ldapdir::SearchScope;
 
+namespace {
+
+/// The attribute's first value, or "" when it has none.
+const std::string& firstOrEmpty(const Entry& entry, const std::string& attr) {
+  static const std::string kEmpty;
+  const std::vector<std::string>* vals = entry.values(attr);
+  return vals == nullptr || vals->empty() ? kEmpty : vals->front();
+}
+
+/// policiesFor's executable, application and role checks, made on the raw
+/// entry so that only matching policies are decoded.
+bool appliesTo(const Entry& entry, const std::string& application,
+               const std::string& executable, const std::string& role) {
+  const std::vector<std::string>* execs = entry.values("executableref");
+  if (execs == nullptr ||
+      std::none_of(execs->begin(), execs->end(), [&](const std::string& e) {
+        return ldapdir::equalsIgnoreCaseAscii(e, executable);
+      })) {
+    return false;
+  }
+  const std::string& app = firstOrEmpty(entry, "applicationref");
+  const std::string& userRole = firstOrEmpty(entry, "userrole");
+  return (app.empty() || app == "*" || app == application) &&
+         (userRole.empty() || userRole == role);
+}
+
+}  // namespace
+
 RepositoryService::RepositoryService(bool enforceSchema)
     : directory_(Dn::parse("o=uwo"), ldapdir::informationModelSchema(),
                  enforceSchema) {
+  // Decoding a policy reads its own entry and the condition and action
+  // entries it references, and any policy may reference any of those.
+  directory_.addChangeListener([this](const Dn& dn) {
+    if (dn.isDescendantOf(policy::dit::policies())) {
+      decoded_.erase(dn.normalized());
+    } else if (dn.isDescendantOf(policy::dit::conditions()) ||
+               dn.isDescendantOf(policy::dit::actions())) {
+      decoded_.clear();
+    }
+  });
   for (const Entry& e : policy::dit::containerEntries()) {
     directory_.add(e);
   }
@@ -193,18 +233,25 @@ std::vector<std::string> RepositoryService::policyNames() const {
 std::vector<policy::PolicySpec> RepositoryService::policiesFor(
     const std::string& application, const std::string& executable,
     const std::string& role) const {
-  const Filter filter = Filter::parse(
-      "(&(objectClass=qosPolicy)(executableRef=" + executable +
-      ")(!(enabled=FALSE)))");
+  static const Filter kEnabledPolicy =
+      Filter::parse("(&(objectClass=qosPolicy)(!(enabled=FALSE)))");
   std::vector<policy::PolicySpec> out;
   for (const Entry* e : directory_.search(policy::dit::policies(),
-                                          SearchScope::kOneLevel, filter)) {
-    policy::PolicySpec spec = policy::policyFromEntry(*e, directory_);
-    const bool appMatches = spec.application.empty() ||
-                            spec.application == "*" ||
-                            spec.application == application;
-    const bool roleMatches = spec.userRole.empty() || spec.userRole == role;
-    if (appMatches && roleMatches) out.push_back(std::move(spec));
+                                          SearchScope::kOneLevel,
+                                          Filter::matchAll())) {
+    if (!appliesTo(*e, application, executable, role) ||
+        !kEnabledPolicy.matches(*e)) {
+      continue;
+    }
+    std::string key = e->dn().normalized();
+    auto it = decoded_.find(key);
+    if (it == decoded_.end()) {
+      ++decodes_;
+      it = decoded_
+               .emplace(std::move(key), policy::policyFromEntry(*e, directory_))
+               .first;
+    }
+    out.push_back(it->second);
   }
   return out;
 }

@@ -2,6 +2,8 @@
 // information-model data, backed by the LDAP-style directory.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,12 +59,18 @@ class RepositoryService {
   [[nodiscard]] std::vector<std::string> contractNames() const;
 
   /// Policies applicable to a registering process (Section 6.2): enabled,
-  /// matching executable, application (exact or wildcard) and user role
-  /// (role-specific policies apply only to that role; role-less policies
-  /// apply to everyone).
+  /// matching executable (case-insensitively), application (exact or
+  /// wildcard) and user role (role-specific policies apply only to that
+  /// role; role-less policies apply to everyone), in directory order. Only
+  /// matching entries are decoded; decoded policies are cached until their
+  /// entry, or any condition or action entry, changes. Throws MappingError
+  /// when a matching policy has a dangling reference.
   [[nodiscard]] std::vector<policy::PolicySpec> policiesFor(
       const std::string& application, const std::string& executable,
       const std::string& role) const;
+
+  /// Policy entries decoded by policiesFor so far (cache misses).
+  [[nodiscard]] std::uint64_t decodes() const { return decodes_; }
 
   /// The offered QoS for a registering process: the enabled offering
   /// contract matching its executable (application-specific entries win
@@ -83,6 +91,10 @@ class RepositoryService {
 
  private:
   ldapdir::Directory directory_;
+  /// policiesFor's decoded policies by normalized DN. Lookups fill it, so
+  /// it mutates under const; one thread owns the repository at a time.
+  mutable std::map<std::string, policy::PolicySpec> decoded_;
+  mutable std::uint64_t decodes_ = 0;
 };
 
 }  // namespace softqos::distribution

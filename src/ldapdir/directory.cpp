@@ -28,11 +28,10 @@ bool Directory::parentExists(const Dn& dn) const {
 }
 
 bool Directory::hasChildren(const Dn& dn) const {
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    if (entry.dn().isDescendantOf(dn)) return true;
-  }
-  return false;
+  // Every entry but the suffix and top-level ones has its parent present, so
+  // a descendant implies a child, except for a suffix added parentless.
+  return children_.contains(dn.normalized()) ||
+         (suffix_.isDescendantOf(dn) && lookup(suffix_) != nullptr);
 }
 
 LdapResult Directory::add(Entry entry) {
@@ -47,7 +46,8 @@ LdapResult Directory::add(Entry entry) {
     if (!lastProblems_.empty()) return LdapResult::kSchemaViolation;
   }
   const Dn dn = entry.dn();
-  entries_.emplace(key, std::move(entry));
+  const auto it = entries_.emplace(key, std::move(entry)).first;
+  children_[dn.parent().normalized()].emplace(it->first, &it->second);
   notify(dn);
   return LdapResult::kSuccess;
 }
@@ -56,6 +56,9 @@ LdapResult Directory::remove(const Dn& dn) {
   const auto it = entries_.find(dn.normalized());
   if (it == entries_.end()) return LdapResult::kNoSuchObject;
   if (hasChildren(dn)) return LdapResult::kNotAllowedOnNonLeaf;
+  const auto siblings = children_.find(it->second.dn().parent().normalized());
+  siblings->second.erase(it->first);
+  if (siblings->second.empty()) children_.erase(siblings);
   entries_.erase(it);
   notify(dn);
   return LdapResult::kSuccess;
@@ -102,22 +105,28 @@ const Entry* Directory::lookup(const Dn& dn) const {
 std::vector<const Entry*> Directory::search(const Dn& base, SearchScope scope,
                                             const Filter& filter) const {
   std::vector<const Entry*> out;
-  for (const auto& [key, entry] : entries_) {
-    (void)key;
-    const Dn& dn = entry.dn();
-    bool inScope = false;
-    switch (scope) {
-      case SearchScope::kBase:
-        inScope = dn == base;
-        break;
-      case SearchScope::kOneLevel:
-        inScope = dn.parent() == base;
-        break;
-      case SearchScope::kSubtree:
-        inScope = dn == base || dn.isDescendantOf(base);
-        break;
-    }
-    if (inScope && filter.matches(entry)) out.push_back(&entry);
+  const auto keep = [&](const Entry& entry) {
+    if (filter.matches(entry)) out.push_back(&entry);
+  };
+  switch (scope) {
+    case SearchScope::kBase:
+      if (const Entry* entry = lookup(base)) keep(*entry);
+      break;
+    case SearchScope::kOneLevel:
+      if (const auto it = children_.find(base.normalized());
+          it != children_.end()) {
+        for (const auto& [key, entry] : it->second) {
+          (void)key;
+          keep(*entry);
+        }
+      }
+      break;
+    case SearchScope::kSubtree:
+      for (const auto& [key, entry] : entries_) {
+        (void)key;
+        if (entry.dn() == base || entry.dn().isDescendantOf(base)) keep(entry);
+      }
+      break;
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ldapdir/entry.hpp"
@@ -41,6 +42,10 @@ class Directory {
   explicit Directory(Dn suffix = Dn::parse("o=uwo"), Schema schema = Schema{},
                      bool enforceSchema = false);
 
+  // The child index points into entries_.
+  Directory(const Directory&) = delete;
+  Directory& operator=(const Directory&) = delete;
+
   LdapResult add(Entry entry);
   LdapResult remove(const Dn& dn);  // leaf entries only
   LdapResult modify(const Dn& dn, const std::vector<Modification>& mods);
@@ -73,6 +78,10 @@ class Directory {
   Schema schema_;
   bool enforceSchema_;
   std::map<std::string, Entry> entries_;  // keyed by normalized DN
+  /// Each entry under its parent's normalized DN (the parent need not
+  /// exist), keyed by the entry's own key in entries_, so one-level results
+  /// keep entries_ order.
+  std::map<std::string, std::map<std::string_view, const Entry*>> children_;
   std::vector<ChangeListener> listeners_;
   std::vector<std::string> lastProblems_;
 };

@@ -13,6 +13,13 @@ std::string toLowerAscii(std::string s) {
   return s;
 }
 
+bool equalsIgnoreCaseAscii(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](unsigned char x, unsigned char y) {
+                      return std::tolower(x) == std::tolower(y);
+                    });
+}
+
 namespace {
 
 std::string trim(const std::string& s) {
@@ -35,8 +42,7 @@ std::string escapeValue(const std::string& v) {
 }  // namespace
 
 bool Rdn::operator==(const Rdn& other) const {
-  return attr == other.attr &&
-         toLowerAscii(value) == toLowerAscii(other.value);
+  return attr == other.attr && equalsIgnoreCaseAscii(value, other.value);
 }
 
 Dn Dn::parse(const std::string& text) {

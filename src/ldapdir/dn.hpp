@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace softqos::ldapdir {
@@ -55,7 +56,9 @@ class Dn {
   std::vector<Rdn> rdns_;  // leftmost = leaf
 };
 
-/// Lower-case ASCII helper shared by the directory modules.
+/// Lower-case ASCII helpers shared by the directory modules.
 std::string toLowerAscii(std::string s);
+/// toLowerAscii(a) == toLowerAscii(b), without building either.
+bool equalsIgnoreCaseAscii(std::string_view a, std::string_view b);
 
 }  // namespace softqos::ldapdir

@@ -89,7 +89,7 @@ struct Filter::Node {
           const auto b = asNumber(value);
           if (a && b) {
             if (*a == *b) return true;
-          } else if (toLowerAscii(v) == toLowerAscii(value)) {
+          } else if (equalsIgnoreCaseAscii(v, value)) {
             return true;
           }
           break;

@@ -10,15 +10,42 @@ using ldapdir::Entry;
 
 namespace dit {
 
-Dn root() { return Dn::parse("o=uwo"); }
-Dn applications() { return Dn::parse("ou=applications,o=uwo"); }
-Dn executables() { return Dn::parse("ou=executables,o=uwo"); }
-Dn sensors() { return Dn::parse("ou=sensors,o=uwo"); }
-Dn conditions() { return Dn::parse("ou=conditions,o=uwo"); }
-Dn actions() { return Dn::parse("ou=actions,o=uwo"); }
-Dn policies() { return Dn::parse("ou=policies,o=uwo"); }
-Dn roles() { return Dn::parse("ou=roles,o=uwo"); }
-Dn contracts() { return Dn::parse("ou=contracts,o=uwo"); }
+const Dn& root() {
+  static const Dn dn = Dn::parse("o=uwo");
+  return dn;
+}
+const Dn& applications() {
+  static const Dn dn = Dn::parse("ou=applications,o=uwo");
+  return dn;
+}
+const Dn& executables() {
+  static const Dn dn = Dn::parse("ou=executables,o=uwo");
+  return dn;
+}
+const Dn& sensors() {
+  static const Dn dn = Dn::parse("ou=sensors,o=uwo");
+  return dn;
+}
+const Dn& conditions() {
+  static const Dn dn = Dn::parse("ou=conditions,o=uwo");
+  return dn;
+}
+const Dn& actions() {
+  static const Dn dn = Dn::parse("ou=actions,o=uwo");
+  return dn;
+}
+const Dn& policies() {
+  static const Dn dn = Dn::parse("ou=policies,o=uwo");
+  return dn;
+}
+const Dn& roles() {
+  static const Dn dn = Dn::parse("ou=roles,o=uwo");
+  return dn;
+}
+const Dn& contracts() {
+  static const Dn dn = Dn::parse("ou=contracts,o=uwo");
+  return dn;
+}
 
 std::vector<Entry> containerEntries() {
   std::vector<Entry> out;

@@ -25,16 +25,17 @@ class MappingError : public std::runtime_error {
 };
 
 /// The directory layout (all under the repository suffix, default o=uwo).
+/// Each DN is parsed once, on first use.
 namespace dit {
-ldapdir::Dn root();
-ldapdir::Dn applications();
-ldapdir::Dn executables();
-ldapdir::Dn sensors();
-ldapdir::Dn conditions();
-ldapdir::Dn actions();
-ldapdir::Dn policies();
-ldapdir::Dn roles();
-ldapdir::Dn contracts();
+const ldapdir::Dn& root();
+const ldapdir::Dn& applications();
+const ldapdir::Dn& executables();
+const ldapdir::Dn& sensors();
+const ldapdir::Dn& conditions();
+const ldapdir::Dn& actions();
+const ldapdir::Dn& policies();
+const ldapdir::Dn& roles();
+const ldapdir::Dn& contracts();
 /// The container entries themselves (for bootstrapping a repository).
 std::vector<ldapdir::Entry> containerEntries();
 }  // namespace dit

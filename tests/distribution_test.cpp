@@ -3,6 +3,9 @@
 // application with its integrity checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "apps/video_model.hpp"
 #include "distribution/admin.hpp"
 #include "distribution/policy_agent.hpp"
@@ -89,6 +92,197 @@ TEST_F(RepoFixture, DisabledPoliciesAreNotDelivered) {
   repo.addPolicy(p);
   EXPECT_TRUE(
       repo.policiesFor("VideoConference", "VideoApplication", "").empty());
+}
+
+TEST_F(RepoFixture, PoliciesForComparesTheExecutableNameLiterally) {
+  repo.addPolicy(parseVideoPolicy("video", 25));
+  policy::PolicySpec starred = parseVideoPolicy("starred", 25);
+  starred.executable = "Video*";
+  repo.addPolicy(starred);
+  const auto names = [&](const std::string& executable) {
+    std::vector<std::string> out;
+    for (const policy::PolicySpec& spec :
+         repo.policiesFor("VideoConference", executable, "")) {
+      out.push_back(spec.name);
+    }
+    return out;
+  };
+  // The name is not filter syntax: no wildcard, no parse error.
+  EXPECT_EQ(names("Video*"), (std::vector<std::string>{"starred"}));
+  EXPECT_TRUE(names("*").empty());
+  EXPECT_TRUE(names("a)b").empty());
+  // Executable names compare case-insensitively, as LDAP values do.
+  EXPECT_EQ(names("videoapplication"), (std::vector<std::string>{"video"}));
+}
+
+TEST_F(RepoFixture, RepeatedLookupsDecodeNothing) {
+  AdminTool admin(repo);
+  for (int i = 0; i < 4; ++i) {
+    repo.addPolicy(parseVideoPolicy("P" + std::to_string(i), 25));
+  }
+  const auto lookup = [&] {
+    return repo.policiesFor("VideoConference", "VideoApplication", "gold");
+  };
+  EXPECT_EQ(lookup().size(), 4u);
+  EXPECT_EQ(repo.decodes(), 4u);
+  EXPECT_EQ(lookup().size(), 4u);
+  EXPECT_EQ(repo.decodes(), 4u) << "a repeated lookup decodes nothing";
+
+  ASSERT_TRUE(admin.disablePolicy("P2"));
+  EXPECT_EQ(lookup().size(), 3u);
+  ASSERT_TRUE(admin.enablePolicy("P2"));
+  EXPECT_EQ(lookup().size(), 4u);
+  EXPECT_EQ(repo.decodes(), 5u) << "disabling one policy re-decodes only it";
+}
+
+/// A policy as text, with the applicability fields toString() leaves out.
+std::string asText(const policy::PolicySpec& spec) {
+  return spec.application + "|" + spec.userRole + "|" + spec.toString();
+}
+
+std::vector<std::string> asText(const std::vector<policy::PolicySpec>& specs) {
+  std::vector<std::string> out;
+  for (const policy::PolicySpec& spec : specs) out.push_back(asText(spec));
+  return out;
+}
+
+/// policiesFor without the cache, over every policy entry of a full scan,
+/// each decoded by policyFromEntry: the selected policies, in directory
+/// order.
+std::vector<std::string> uncachedPoliciesFor(
+    const std::vector<policy::PolicySpec>& decoded,
+    const std::string& application, const std::string& role) {
+  std::vector<std::string> out;
+  for (const policy::PolicySpec& spec : decoded) {
+    if (!spec.enabled || spec.executable != "VideoApplication") continue;
+    if (!spec.application.empty() && spec.application != application) continue;
+    if (!spec.userRole.empty() && spec.userRole != role) continue;
+    out.push_back(asText(spec));
+  }
+  return out;
+}
+
+// Seeded random writes of every kind that can change a lookup's answer:
+// through the repository, the directory and LDIF uploads, to policy entries
+// alone and to the condition entries they reference. After each, every
+// (application, role) lookup must equal the uncached reference, and
+// repeating it must decode nothing.
+TEST_F(RepoFixture, CachedLookupsMatchAnUncachedReference) {
+  std::mt19937 rng(18);
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const std::vector<std::string> apps = {"AppA", "AppB", "AppC"};
+  const std::vector<std::string> roles = {"", "gold", "silver"};
+  const auto randomPolicy = [&](const std::string& name) {
+    policy::PolicySpec spec = parseVideoPolicy(name, 20.0 + pick(10));
+    spec.application = pick(4) == 0 ? "" : apps[pick(apps.size())];
+    spec.userRole = roles[pick(roles.size())];
+    return spec;
+  };
+  std::vector<std::string> live;
+  int nextName = 0;
+  std::size_t kinds[6] = {};
+
+  for (int op = 0; op < 600; ++op) {
+    // Adds outweigh removes until 16 policies are live.
+    const std::size_t kind =
+        live.empty() || (live.size() < 16 && pick(2) == 0) ? 0 : pick(6);
+    ++kinds[kind];
+    const std::string name = live.empty() ? "" : live[pick(live.size())];
+    const ldapdir::Dn policyDn = policy::dit::policies().child("cn", name);
+    switch (kind) {
+      case 0: {  // add
+        const std::string fresh = "p" + std::to_string(nextName++);
+        ASSERT_EQ(repo.addPolicy(randomPolicy(fresh)),
+                  ldapdir::LdapResult::kSuccess);
+        live.push_back(fresh);
+        break;
+      }
+      case 1:  // remove
+        ASSERT_TRUE(repo.removePolicy(name));
+        live.erase(std::find(live.begin(), live.end(), name));
+        break;
+      case 2: {  // disable or enable
+        const bool enabled =
+            repo.directory().lookup(policyDn)->firstValue("enabled") ==
+            "TRUE";
+        ASSERT_EQ(repo.directory().modify(
+                      policyDn, {ldapdir::Modification{
+                                    ldapdir::Modification::Op::kReplace,
+                                    "enabled",
+                                    {enabled ? "FALSE" : "TRUE"}}}),
+                  ldapdir::LdapResult::kSuccess);
+        break;
+      }
+      case 3:  // retune an inline condition's threshold
+        ASSERT_EQ(repo.directory().modify(
+                      policy::dit::conditions().child("cn", name + "-c1"),
+                      {ldapdir::Modification{
+                          ldapdir::Modification::Op::kReplace,
+                          "threshold",
+                          {std::to_string(10 + pick(30))}}}),
+                  ldapdir::LdapResult::kSuccess);
+        break;
+      case 4: {  // replace the policy through an LDIF upload
+        const auto deletion = [](const ldapdir::Dn& dn) {
+          return "dn: " + dn.toString() + "\nchangetype: delete\n\n";
+        };
+        const ldapdir::Entry& entry = *repo.directory().lookup(policyDn);
+        std::string ldif = deletion(policyDn);
+        for (const std::string& ref : *entry.values("conditionRef")) {
+          ldif += deletion(policy::dit::conditions().child("cn", ref));
+        }
+        for (const std::string& ref : *entry.values("actionRef")) {
+          ldif += deletion(policy::dit::actions().child("cn", ref));
+        }
+        for (const ldapdir::Entry& e :
+             policy::policyToEntries(randomPolicy(name))) {
+          ldif += ldapdir::toLdif(e) + "\n";
+        }
+        const ldapdir::LdifApplyStats stats = repo.uploadLdif(ldif);
+        ASSERT_TRUE(stats.failures.empty()) << stats.failures.front();
+        break;
+      }
+      case 5: {  // re-target the policy entry alone through an LDIF modify
+        const std::string app = pick(4) == 0 ? "*" : apps[pick(apps.size())];
+        const std::string role = roles[pick(roles.size())];
+        std::string ldif = "dn: " + policyDn.toString() +
+                           "\nchangetype: modify\nreplace: applicationRef\n"
+                           "applicationRef: " +
+                           app + "\n-\n";
+        ldif += role.empty() ? "delete: userRole\n-\n"
+                             : "replace: userRole\nuserRole: " + role + "\n-\n";
+        const ldapdir::LdifApplyStats stats = repo.uploadLdif(ldif);
+        ASSERT_TRUE(stats.failures.empty()) << stats.failures.front();
+        break;
+      }
+    }
+
+    std::vector<policy::PolicySpec> decoded;
+    for (const ldapdir::Entry* e :
+         repo.directory().search(ldapdir::Dn(), ldapdir::SearchScope::kSubtree,
+                                 ldapdir::Filter::matchAll())) {
+      if (e->dn().parent() == policy::dit::policies()) {
+        decoded.push_back(policy::policyFromEntry(*e, repo.directory()));
+      }
+    }
+    for (const std::string& app : apps) {
+      for (const std::string& role : roles) {
+        ASSERT_EQ(asText(repo.policiesFor(app, "VideoApplication", role)),
+                  uncachedPoliciesFor(decoded, app, role))
+            << "op " << op << " (kind " << kind << ") " << app << "/" << role;
+      }
+    }
+    const std::uint64_t decodes = repo.decodes();
+    for (const std::string& app : apps) {
+      for (const std::string& role : roles) {
+        (void)repo.policiesFor(app, "VideoApplication", role);
+      }
+    }
+    ASSERT_EQ(repo.decodes(), decodes) << "op " << op;
+  }
+  for (const std::size_t n : kinds) EXPECT_GT(n, 50u);
 }
 
 TEST_F(RepoFixture, LdifExportImportRoundTrip) {
@@ -209,6 +403,29 @@ TEST_F(AgentFixture, DeregisteredSessionsGetNoPushes) {
   repo.addPolicy(parseVideoPolicy("P2", 30));
   s.runUntil(sim::msec(1));
   EXPECT_FALSE(coord->hasPolicy("P2"));
+}
+
+TEST_F(AgentFixture, BrokenPolicyFailsOnlyTheLookupsItMatches) {
+  // Application B's policy references a condition that was never stored.
+  policy::PolicySpec broken = parseVideoPolicy("broken", 25);
+  broken.application = "OtherConference";
+  broken.conditions[0].id = "no-such-condition";
+  ASSERT_EQ(repo.addPolicy(broken), ldapdir::LdapResult::kSuccess);
+  repo.addPolicy(parseVideoPolicy("P1", 25));
+
+  EXPECT_EQ(agent.registerProcess(registration()), 1u);
+  EXPECT_TRUE(coord->hasPolicy("P1"));
+
+  PolicyAgent::Registration other = registration();
+  other.pid = 2;
+  other.application = "OtherConference";
+  EXPECT_THROW(agent.registerProcess(other), PolicyAgentError);
+  // A failed decode is not cached: the next lookup tries again.
+  const std::uint64_t decodes = repo.decodes();
+  EXPECT_THROW((void)repo.policiesFor("OtherConference", "VideoApplication",
+                                      "silver"),
+               policy::MappingError);
+  EXPECT_EQ(repo.decodes(), decodes + 1);
 }
 
 TEST_F(AgentFixture, SessionPoliciesDifferByRole) {

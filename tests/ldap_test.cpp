@@ -2,6 +2,10 @@
 // directory operations and LDIF interchange.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <random>
+
 #include "ldapdir/directory.hpp"
 #include "ldapdir/ldif.hpp"
 
@@ -338,6 +342,93 @@ TEST_F(DirFixture, ChangeListenersFireOnMutations) {
              {Modification{Modification::Op::kAdd, "a", {"1"}}});
   dir.remove(Dn::parse("ou=p,o=uwo"));
   EXPECT_EQ(changed.size(), 3u);
+}
+
+TEST_F(DirFixture, RemovingTheLastChildLetsTheParentGo) {
+  dir.add(make("ou=p,o=uwo"));
+  dir.add(make("cn=a,ou=p,o=uwo"));
+  dir.add(make("cn=b,ou=p,o=uwo"));
+  EXPECT_EQ(dir.remove(Dn::parse("OU=P,O=UWO")),
+            LdapResult::kNotAllowedOnNonLeaf);
+  EXPECT_EQ(dir.remove(Dn::parse("CN=A,ou=P,o=uwo")), LdapResult::kSuccess);
+  EXPECT_EQ(dir.remove(Dn::parse("ou=p,o=UWO")),
+            LdapResult::kNotAllowedOnNonLeaf);
+  EXPECT_EQ(dir.remove(Dn::parse("cn=b,ou=p,o=uwo")), LdapResult::kSuccess);
+  EXPECT_EQ(dir.remove(Dn::parse("Ou=p,o=uwo")), LdapResult::kSuccess);
+  EXPECT_EQ(dir.size(), 1u);
+}
+
+// The one-level index against a brute-force scan, over random adds and
+// removes of mixed-case DNs, escaped commas, and siblings where one name is
+// another followed by a character below ',' (so sorting by leaf alone would
+// misorder them).
+TEST_F(DirFixture, OneLevelIndexMatchesAFullScan) {
+  std::mt19937 rng(20001017);
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto recase = [&](std::string text) {
+    for (char& c : text) {
+      if (pick(2) == 0) c = static_cast<char>(std::toupper(c));
+    }
+    return text;
+  };
+  const std::vector<std::string> names = {"a",  "A",   "a+b", "a b", "ab",
+                                          "a,", "a,b", "a-b", "b",   "B b"};
+  const Filter all = Filter::matchAll();
+  const auto everything = [&] {
+    return dir.search(Dn(), SearchScope::kSubtree, all);
+  };
+
+  for (int op = 0; op < 800; ++op) {
+    const std::vector<const Entry*> entries = everything();
+    const Dn& target = entries[pick(entries.size())]->dn();
+    const Dn spelled = Dn::parse(recase(target.toString()));
+    if (pick(2) == 0) {
+      const LdapResult r =
+          dir.add(make(spelled.child("cn", recase(names[pick(names.size())]))
+                           .toString()));
+      ASSERT_TRUE(r == LdapResult::kSuccess ||
+                  r == LdapResult::kEntryAlreadyExists);
+    } else if (!(target == Dn::parse("o=uwo"))) {
+      const bool nonLeaf =
+          std::any_of(entries.begin(), entries.end(), [&](const Entry* e) {
+            return e->dn().isDescendantOf(target);
+          });
+      ASSERT_EQ(dir.remove(spelled), nonLeaf ? LdapResult::kNotAllowedOnNonLeaf
+                                             : LdapResult::kSuccess)
+          << spelled.toString();
+    }
+
+    const std::vector<const Entry*> now = everything();
+    ASSERT_EQ(now.size(), dir.size());
+    std::vector<Dn> parents;
+    for (const Entry* e : now) parents.push_back(e->dn().parent());
+    for (const Entry* base : now) {
+      std::vector<const Entry*> expected;
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        if (parents[i] == base->dn()) expected.push_back(now[i]);
+      }
+      const Dn baseSpelled = Dn::parse(recase(base->dn().toString()));
+      ASSERT_EQ(dir.search(baseSpelled, SearchScope::kOneLevel, all), expected)
+          << "op " << op << " base " << baseSpelled.toString();
+    }
+  }
+}
+
+TEST(DirectoryIndex, ParentlessSuffixStillGuardsItsAncestors) {
+  // The suffix may be added without its parent, so an ancestor can have a
+  // descendant but no child.
+  Directory dir(Dn::parse("dc=a,dc=b,dc=c"));
+  Entry suffix(Dn::parse("dc=a,dc=b,dc=c"));
+  suffix.addValue("objectClass", "top");
+  ASSERT_EQ(dir.add(suffix), LdapResult::kSuccess);
+  Entry top(Dn::parse("dc=c"));
+  top.addValue("objectClass", "top");
+  ASSERT_EQ(dir.add(top), LdapResult::kSuccess);
+  EXPECT_EQ(dir.remove(Dn::parse("DC=C")), LdapResult::kNotAllowedOnNonLeaf);
+  EXPECT_EQ(dir.remove(Dn::parse("dc=a,dc=b,dc=c")), LdapResult::kSuccess);
+  EXPECT_EQ(dir.remove(Dn::parse("dc=c")), LdapResult::kSuccess);
 }
 
 TEST(DirectorySchema, EnforcementRejectsInvalidEntries) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "apps/testbed.hpp"
+#include "net/packet.hpp"
 #include "sim/rollup.hpp"
 #include "sim/simulation.hpp"
 
@@ -40,21 +41,59 @@ void ScheduleCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(ScheduleCancelChurn)->Arg(64)->Arg(1024)->Arg(16384);
 
-// Drain pattern: schedule near-future one-shot events and execute them.
+// Drain pattern: schedule near-future one-shot events and execute them,
+// above `range(1)` standing far-future events that never fire. 11k standing
+// is the 1024-host city's heap; 0 is the two-host testbed's shallow one.
 void ScheduleFireDrain(benchmark::State& state) {
   const auto batch = static_cast<std::int64_t>(state.range(0));
+  const auto standing = static_cast<std::int64_t>(state.range(1));
   sim::Simulation s;
   std::uint64_t fired = 0;
+  for (std::int64_t i = 0; i < standing; ++i) {
+    s.after(sim::sec(3600) + i, [&fired] { ++fired; });
+  }
   for (auto _ : state) {
+    const sim::SimTime until = s.now() + 7;
     for (std::int64_t i = 0; i < batch; ++i) {
       s.after(i % 7, [&fired] { ++fired; });
     }
-    s.runAll();
+    s.runUntil(until);
   }
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(ScheduleFireDrain)->Arg(1024);
+BENCHMARK(ScheduleFireDrain)->Args({1024, 0})->Args({1024, 11000});
+
+// One network hop's two events: a serialization event and a delivery event,
+// each carrying a 152-byte capture (a net::Packet plus the node it goes to,
+// the channel delivery closure's size). Each hop's capture is moved from
+// the first event into the second, as a packet crossing a link would be.
+void PacketHopDrain(benchmark::State& state) {
+  const auto hops = static_cast<std::int64_t>(state.range(0));
+  struct Sink {
+    sim::Simulation sim;
+    std::int64_t bytes = 0;
+  } sink;
+  for (auto _ : state) {
+    const sim::SimTime until = sink.sim.now() + 8;
+    for (std::int64_t i = 0; i < hops; ++i) {
+      net::Packet p;
+      p.messageId = static_cast<std::uint64_t>(i);
+      p.bytes = 1500;
+      auto serialized = [to = &sink, p = std::move(p)]() mutable {
+        auto delivered = [to, p = std::move(p)] { to->bytes += p.bytes; };
+        static_assert(sizeof(delivered) == 152);
+        to->sim.after(1, std::move(delivered));
+      };
+      static_assert(sizeof(serialized) == 152);
+      sink.sim.after(i % 7, std::move(serialized));
+    }
+    sink.sim.runUntil(until);
+  }
+  benchmark::DoNotOptimize(sink.bytes);
+  state.SetItemsProcessed(state.iterations() * hops * 2);
+}
+BENCHMARK(PacketHopDrain)->Arg(1024);
 
 // Recurring-timer storm: `range(0)` tickers at 1ms, simulating 100ms per
 // iteration (the sensor-tick / CPU-quantum / traffic-pacing shape).

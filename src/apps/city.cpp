@@ -326,10 +326,16 @@ void City::startWorkloads() {
              [this, idx] { reportTick(idx); });
     }
     if (config_.hostsPerRack > 1) {
+      // Each host paces payload to its rack successor; both NICs are
+      // resolved once here, not per tick.
       const int rack = static_cast<int>(h) / config_.hostsPerRack;
       const int i = static_cast<int>(h) % config_.hostsPerRack;
+      const osim::Host& next =
+          workloadHost(rack, (i + 1) % config_.hostsPerRack);
+      const net::NodeId src = network.nicForHost(hosts_[h]->name())->id();
+      const net::NodeId dst = network.nicForHost(next.name())->id();
       sim.at(kTrafficInterval + sim::usec(53 * (h + 1) + 11),
-             [this, rack, i] { trafficTick(rack, i); });
+             [this, src, dst] { trafficTick(src, dst); });
     }
   }
 }
@@ -383,14 +389,13 @@ void City::reportTick(std::size_t idx) {
   sim.after(kReportInterval, [this, idx] { reportTick(idx); });
 }
 
-void City::trafficTick(int rack, int i) {
+void City::trafficTick(net::NodeId srcNic, net::NodeId dstNic) {
   osim::Message m;
   m.kind = "pay";
   m.bytes = kTrafficBytes;
-  network.sendToHost(hostName(rack, i),
-                     hostName(rack, (i + 1) % config_.hostsPerRack),
-                     kTrafficPort, std::move(m));
-  sim.after(kTrafficInterval, [this, rack, i] { trafficTick(rack, i); });
+  network.sendMessage(srcNic, dstNic, kTrafficPort, std::move(m));
+  sim.after(kTrafficInterval,
+            [this, srcNic, dstNic] { trafficTick(srcNic, dstNic); });
 }
 
 std::uint64_t City::run(sim::SimDuration span) {

@@ -186,7 +186,7 @@ class City {
   std::vector<std::size_t> contractHostIdx_;
 
   void reportTick(std::size_t idx);
-  void trafficTick(int rack, int i);
+  void trafficTick(net::NodeId srcNic, net::NodeId dstNic);
 };
 
 }  // namespace softqos::apps

@@ -16,7 +16,7 @@ void Channel::setFaultProfile(LinkFaultProfile profile,
   faultRandom_ = random;
 }
 
-void Channel::enqueue(Packet packet) {
+void Channel::enqueue(Packet&& packet) {
   if (fault_.down) {
     ++faultDrops_;
     return;
@@ -35,41 +35,45 @@ void Channel::enqueue(Packet packet) {
     ++drops_;
     return;
   }
-  queuedBytes_ += packet.bytes;
-  queue_.push_back(std::move(packet));
-  pump();
+  if (transmitting_) {
+    queuedBytes_ += packet.bytes;
+    queue_.push_back(std::move(packet));
+    return;
+  }
+  inFlight_ = std::move(packet);
+  transmit();
 }
 
-void Channel::pump() {
-  if (transmitting_ || queue_.empty()) return;
+void Channel::transmit() {
   transmitting_ = true;
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
-  queuedBytes_ -= p.bytes;
-
   const double serializeSec =
-      static_cast<double>(p.bytes) / config_.bytesPerSecond;
+      static_cast<double>(inFlight_.bytes) / config_.bytesPerSecond;
   const sim::SimDuration serialize =
       std::max<sim::SimDuration>(1, sim::fromSeconds(serializeSec));
   busyTime_ += serialize;
-  bytesSent_ += p.bytes;
+  bytesSent_ += inFlight_.bytes;
   ++packetsSent_;
+  sim_.after(serialize, [this] { onSerialized(); });
+}
 
-  sim_.after(serialize, [this, p = std::move(p)]() mutable {
-    // Serialization finished: the wire is free for the next packet while this
-    // one propagates. Delivery lands on the destination node's shard: the
-    // flight time is >= the configured lookahead for any cross-shard link,
-    // so the post always respects the conservative window. A channel's own
-    // state (queue, transmitter) stays on the sender's shard.
-    transmitting_ = false;
-    const sim::SimDuration flight = config_.propagationDelay + fault_.extraDelay;
-    NetNode* dst = &to_;
-    sim_.postToShard(to_.shard(), sim_.now() + flight,
-                     [dst, p = std::move(p)]() mutable {
-                       dst->onPacket(std::move(p));
-                     });
-    pump();
-  });
+void Channel::onSerialized() {
+  // The wire is free for the next packet while this one propagates.
+  // Delivery lands on the destination node's shard: the flight time is >=
+  // the configured lookahead for any cross-shard link, so the post always
+  // respects the conservative window. A channel's own state (queue,
+  // transmitter, in-flight packet) stays on the sender's shard.
+  transmitting_ = false;
+  const sim::SimDuration flight = config_.propagationDelay + fault_.extraDelay;
+  NetNode* dst = &to_;
+  sim_.postToShard(to_.shard(), sim_.now() + flight,
+                   [dst, p = std::move(inFlight_)]() mutable {
+                     dst->onPacket(std::move(p));
+                   });
+  if (queue_.empty()) return;
+  inFlight_ = std::move(queue_.front());
+  queue_.pop_front();
+  queuedBytes_ -= inFlight_.bytes;
+  transmit();
 }
 
 double Channel::utilization() const {

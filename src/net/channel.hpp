@@ -42,7 +42,8 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   /// Enqueue for transmission; drops (and counts) when the queue is full.
-  void enqueue(Packet packet);
+  /// An idle transmitter takes the packet straight off the caller.
+  void enqueue(Packet&& packet);
 
   /// Install/replace the fault profile. `random` supplies the loss and
   /// corruption draws; it must outlive the profile (the FaultInjector owns
@@ -73,7 +74,11 @@ class Channel {
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
  private:
-  void pump();
+  /// Start serializing inFlight_: the event that ends it captures only
+  /// `this`, never the packet.
+  void transmit();
+  /// Serialization finished: hand inFlight_ to the wire, start the next.
+  void onSerialized();
 
   sim::Simulation& sim_;
   NetNode& to_;
@@ -81,6 +86,7 @@ class Channel {
   std::deque<Packet> queue_;
   std::int64_t queuedBytes_ = 0;
   bool transmitting_ = false;
+  Packet inFlight_;  // the packet being serialized while transmitting_
   LinkFaultProfile fault_;
   sim::RandomStream* faultRandom_ = nullptr;
   std::uint64_t faultDrops_ = 0;

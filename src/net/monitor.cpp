@@ -20,31 +20,29 @@ void ChannelMonitor::arm(sim::SimDuration interval) {
 
   // Channel poll state belongs to the sender node's shard: group the
   // channels by owner and plant one periodic probe per owning shard.
-  std::map<sim::ShardId, std::vector<std::pair<NodeId, NodeId>>> byShard;
+  std::map<sim::ShardId, std::vector<Probed>> byShard;
   for (const auto& [key, channel] : network_.channels()) {
-    (void)channel;
     NetNode* owner = network_.node(key.first);
-    byShard[owner == nullptr ? 0 : owner->shard()].push_back(key);
+    byShard[owner == nullptr ? 0 : owner->shard()].push_back(
+        Probed{key, channel.get()});
   }
-  for (auto& [shard, keys] : byShard) {
+  for (auto& [shard, channels] : byShard) {
     sim::ShardScope scope(sim, shard);
-    sim.every(interval, [this, keys = std::move(keys)] { probe(keys); });
+    sim.every(interval,
+              [this, channels = std::move(channels)] { probe(channels); });
   }
 }
 
-void ChannelMonitor::probe(
-    const std::vector<std::pair<NodeId, NodeId>>& keys) {
+void ChannelMonitor::probe(const std::vector<Probed>& channels) {
   // Key-ordered sweep with a strict max: the shard-local fragment of the
   // legacy fabric-wide argmax.
   double maxUtil = 0.0;
   std::pair<NodeId, NodeId> hottest{kNoNode, kNoNode};
-  for (const auto& key : keys) {
-    Channel* channel = network_.channel(key.first, key.second);
-    if (channel == nullptr) continue;
-    const double util = channel->utilizationSinceLastPoll();
+  for (const Probed& probed : channels) {
+    const double util = probed.channel->utilizationSinceLastPoll();
     if (util > maxUtil) {
       maxUtil = util;
-      hottest = key;
+      hottest = probed.key;
     }
   }
   sim::Simulation& sim = network_.sim();

@@ -51,9 +51,15 @@ class ChannelMonitor {
   [[nodiscard]] sim::SimDuration publishDelay() const { return publishDelay_; }
 
  private:
+  /// A monitored channel, resolved once by arm().
+  struct Probed {
+    std::pair<NodeId, NodeId> key;
+    Channel* channel;
+  };
+
   /// One probe round on the calling shard: sample the owned channels in key
   /// order, keep the strict maximum, post it to the consumer shard.
-  void probe(const std::vector<std::pair<NodeId, NodeId>>& keys);
+  void probe(const std::vector<Probed>& channels);
   void receive(sim::SimTime sampleTime, double util,
                std::pair<NodeId, NodeId> key);
 

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
-#include <cassert>
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -28,7 +27,7 @@ NodeId Network::registerNode(NetNode* node, const std::string& name) {
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(node);
-  adjacency_.emplace_back();
+  ports_.emplace_back();
   msgSeq_.push_back(0);
   byName_.emplace(name, id);
   routesDirty_ = true;
@@ -46,12 +45,21 @@ NetNode* Network::nodeByName(const std::string& name) {
 }
 
 void Network::link(NetNode& a, NetNode& b, ChannelConfig config) {
-  channels_.emplace(std::make_pair(a.id(), b.id()),
-                    std::make_unique<Channel>(sim_, b, config));
-  channels_.emplace(std::make_pair(b.id(), a.id()),
-                    std::make_unique<Channel>(sim_, a, config));
-  adjacency_[static_cast<std::size_t>(a.id())].push_back(b.id());
-  adjacency_[static_cast<std::size_t>(b.id())].push_back(a.id());
+  auto& portsA = ports_[static_cast<std::size_t>(a.id())];
+  auto& portsB = ports_[static_cast<std::size_t>(b.id())];
+  if (portsA.size() >= kNoPort || portsB.size() >= kNoPort) {
+    throw std::length_error("Network: a node has more than 65535 links");
+  }
+  Channel* ab = channels_
+                    .emplace(std::make_pair(a.id(), b.id()),
+                             std::make_unique<Channel>(sim_, b, config))
+                    .first->second.get();
+  Channel* ba = channels_
+                    .emplace(std::make_pair(b.id(), a.id()),
+                             std::make_unique<Channel>(sim_, a, config))
+                    .first->second.get();
+  portsA.push_back(Port{b.id(), ab});
+  portsB.push_back(Port{a.id(), ba});
   routesDirty_ = true;
 }
 
@@ -93,64 +101,85 @@ Nic* Network::nicForHost(const std::string& hostName) {
 
 void Network::recomputeRoutes() {
   const std::size_t n = nodes_.size();
-  nextHop_.assign(n, std::vector<NodeId>(n, kNoNode));
-  // BFS from every destination: nextHop_[from][dst] is the neighbour of
-  // `from` on a shortest path to `dst`.
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    std::vector<NodeId> toward(n, kNoNode);  // next hop toward dst
-    std::vector<bool> seen(n, false);
-    std::deque<NodeId> frontier;
-    seen[dst] = true;
-    frontier.push_back(static_cast<NodeId>(dst));
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      // Only switches transit traffic: a path may end at any node but may
-      // not pass *through* a host NIC or a traffic source/sink.
-      if (cur != static_cast<NodeId>(dst) &&
-          !nodes_[static_cast<std::size_t>(cur)]->forwards()) {
-        continue;
-      }
-      for (const NodeId nb : adjacency_[static_cast<std::size_t>(cur)]) {
-        // BFS runs from the destination outward, so the edge used for
-        // forwarding is nb -> cur; honor administrative link state.
-        if (disabledLinks_.contains({nb, cur})) continue;
-        if (seen[static_cast<std::size_t>(nb)]) continue;
-        seen[static_cast<std::size_t>(nb)] = true;
-        toward[static_cast<std::size_t>(nb)] = cur;
-        frontier.push_back(nb);
-      }
+  // back[v][i]: the port at u = ports_[v][i].peer whose channel leads back
+  // to v, or kNoPort when u -> v is administratively disabled. BFS runs
+  // from the destination outward, so the edge a packet would take is
+  // u -> v.
+  std::vector<std::vector<std::uint16_t>> back(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const Port& port : ports_[v]) {
+      const auto u = static_cast<std::size_t>(port.peer);
+      const auto it = std::find_if(
+          ports_[u].begin(), ports_[u].end(),
+          [v](const Port& p) { return p.peer == static_cast<NodeId>(v); });
+      const bool disabled =
+          disabledLinks_.contains({port.peer, static_cast<NodeId>(v)});
+      back[v].push_back(disabled ? kNoPort
+                                 : static_cast<std::uint16_t>(
+                                       it - ports_[u].begin()));
     }
-    for (std::size_t from = 0; from < n; ++from) {
-      nextHop_[from][dst] = toward[from];
+  }
+  // Only switches transit traffic: a path may end at any node but may not
+  // pass *through* a host NIC or a traffic source/sink.
+  std::vector<char> transit(n);
+  for (std::size_t v = 0; v < n; ++v) transit[v] = nodes_[v]->forwards();
+
+  nextPort_.assign(n * n, kNoPort);
+  std::vector<NodeId> frontier(n);  // each node is queued at most once
+  std::vector<char> seen(n);
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    std::uint16_t* toward = &nextPort_[dst * n];
+    std::fill(seen.begin(), seen.end(), 0);
+    seen[dst] = 1;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    frontier[tail++] = static_cast<NodeId>(dst);
+    while (head < tail) {
+      const auto cur = static_cast<std::size_t>(frontier[head++]);
+      if (cur != dst && !transit[cur]) continue;
+      const std::vector<Port>& ports = ports_[cur];
+      for (std::size_t i = 0; i < ports.size(); ++i) {
+        const auto nb = static_cast<std::size_t>(ports[i].peer);
+        if (back[cur][i] == kNoPort || seen[nb]) continue;
+        seen[nb] = 1;
+        toward[nb] = back[cur][i];
+        frontier[tail++] = ports[i].peer;
+      }
     }
   }
   routesDirty_ = false;
 }
 
-NodeId Network::nextHop(NodeId from, NodeId dst) {
+std::uint16_t Network::nextPort(NodeId from, NodeId dst) {
   if (routesDirty_) recomputeRoutes();
-  if (from < 0 || dst < 0 || from >= static_cast<NodeId>(nodes_.size()) ||
-      dst >= static_cast<NodeId>(nodes_.size())) {
-    return kNoNode;
+  const std::size_t n = nodes_.size();
+  if (from < 0 || dst < 0 || static_cast<std::size_t>(from) >= n ||
+      static_cast<std::size_t>(dst) >= n) {
+    return kNoPort;
   }
-  return nextHop_[static_cast<std::size_t>(from)][static_cast<std::size_t>(dst)];
+  return nextPort_[static_cast<std::size_t>(dst) * n +
+                   static_cast<std::size_t>(from)];
 }
 
-void Network::forward(NodeId from, Packet packet) {
+NodeId Network::nextHop(NodeId from, NodeId dst) {
+  const std::uint16_t port = nextPort(from, dst);
+  if (port == kNoPort) return kNoNode;
+  return ports_[static_cast<std::size_t>(from)][port].peer;
+}
+
+void Network::forward(NodeId from, Packet&& packet) {
   if (from == packet.dst) {
     NetNode* self = node(from);
     if (self != nullptr) self->onPacket(std::move(packet));
     return;
   }
-  const NodeId hop = nextHop(from, packet.dst);
-  if (hop == kNoNode) {
+  const std::uint16_t port = nextPort(from, packet.dst);
+  if (port == kNoPort) {
     ++unreachable_;
     return;
   }
-  Channel* ch = channel(from, hop);
-  assert(ch != nullptr && "route uses a non-existent channel");
-  ch->enqueue(std::move(packet));
+  ports_[static_cast<std::size_t>(from)][port].channel->enqueue(
+      std::move(packet));
 }
 
 void Network::primeRoutes() {

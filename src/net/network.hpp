@@ -5,9 +5,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <memory>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -54,7 +55,9 @@ class Network {
   [[nodiscard]] Nic* nicForHost(const std::string& hostName);
 
   /// Next hop from `from` toward `dst` (kNoNode when unreachable). Routes are
-  /// recomputed lazily after topology changes (BFS shortest path).
+  /// recomputed lazily after topology changes (BFS shortest path) into a
+  /// flat next-port table: for each (destination, node), the index of the
+  /// node's outgoing channel on a shortest path.
   NodeId nextHop(NodeId from, NodeId dst);
 
   /// Force route computation now. Sharded runs require this before the first
@@ -74,7 +77,7 @@ class Network {
 
   /// Forward a packet out of node `from` toward its destination. Delivers
   /// locally when from == dst; silently drops unreachable packets (counted).
-  void forward(NodeId from, Packet packet);
+  void forward(NodeId from, Packet&& packet);
 
   /// Send an application message from one NIC to a port on another, splitting
   /// it into MTU-sized fragments.
@@ -102,18 +105,28 @@ class Network {
   }
 
  private:
+  /// One outgoing channel of a node; a node's ports are numbered in the
+  /// order its links were made.
+  struct Port {
+    NodeId peer;
+    Channel* channel;
+  };
+  static constexpr std::uint16_t kNoPort = 0xffff;
+
   void recomputeRoutes();
+  /// Port of `from` on a shortest path to `dst`, or kNoPort.
+  [[nodiscard]] std::uint16_t nextPort(NodeId from, NodeId dst);
 
   sim::Simulation& sim_;
   std::int64_t mtu_;
   std::vector<NetNode*> nodes_;
   std::map<std::string, NodeId> byName_;
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<Channel>> channels_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::vector<std::vector<NodeId>> nextHop_;  // [from][dst]
+  std::vector<std::vector<Port>> ports_;  // per node
+  std::vector<std::uint16_t> nextPort_;   // [dst * nodes + from]
   std::set<std::pair<NodeId, NodeId>> disabledLinks_;  // directed pairs
   bool routesDirty_ = true;
-  std::map<std::string, std::unique_ptr<Nic>> nics_;
+  std::unordered_map<std::string, std::unique_ptr<Nic>> nics_;
   /// Per-source message sequence numbers: message ids embed the source node,
   /// so concurrent senders on different shards never contend on a shared
   /// counter (ids are reassembly keys only; their values are unobservable).

@@ -26,23 +26,24 @@ void Nic::onPacket(Packet packet) {
     ++hostDown_;
     return;
   }
-  auto it = partial_.find(packet.messageId);
-  if (it == partial_.end()) {
-    it = partial_.emplace(packet.messageId, Partial{}).first;
-  }
-  it->second.bytes += packet.bytes;
-  it->second.corrupted = it->second.corrupted || packet.corrupted;
+  bool corrupted = packet.corrupted;
+  // A message that fits in one fragment has nothing to reassemble.
+  if (!packet.lastFragment || packet.bytes != packet.messageBytes) {
+    auto it = partial_.try_emplace(packet.messageId).first;
+    it->second.bytes += packet.bytes;
+    it->second.corrupted = it->second.corrupted || packet.corrupted;
 
-  if (!packet.lastFragment) return;
+    if (!packet.lastFragment) return;
 
-  const bool complete = (it->second.bytes == packet.messageBytes);
-  const bool corrupted = it->second.corrupted;
-  partial_.erase(it);
-  if (!complete) {
-    // An earlier fragment was dropped in a congested queue: the message is
-    // lost (datagram semantics; the video stream tolerates this).
-    ++incomplete_;
-    return;
+    const bool complete = (it->second.bytes == packet.messageBytes);
+    corrupted = it->second.corrupted;
+    partial_.erase(it);
+    if (!complete) {
+      // An earlier fragment was dropped in a congested queue: the message
+      // is lost (datagram semantics; the video stream tolerates this).
+      ++incomplete_;
+      return;
+    }
   }
   if (corrupted) {
     ++corrupt_;

@@ -1,57 +1,69 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace softqos::sim {
 
 void EventQueue::setShardTag(std::uint8_t tag) {
-  assert(slots_.empty() && scheduled_ == 0 &&
+  assert(slotCount_ == 0 && scheduled_ == 0 &&
          "shard tag must be set before any event is scheduled");
   shardTag_ = tag;
 }
 
 std::uint32_t EventQueue::resolve(EventId id) const {
   if (idShardTag(id) != shardTag_) return kNpos;
-  const auto low = static_cast<std::uint32_t>(id & 0xffffffu);
-  if (low == 0) return kNpos;
+  const auto low = static_cast<std::uint32_t>(id & kSlotMask);
+  if (low == 0 || low > slotCount_) return kNpos;
   const std::uint32_t idx = low - 1;
-  if (idx >= slots_.size()) return kNpos;
-  const Slot& s = slots_[idx];
-  if (s.state == SlotState::kFree) return kNpos;
-  if (s.generation != static_cast<std::uint32_t>(id >> 32)) return kNpos;
+  // A free slot's generation was bumped past every id minted for it.
+  if (slot(idx).generation != static_cast<std::uint32_t>(id >> 32)) {
+    return kNpos;
+  }
   return idx;
 }
 
 std::uint32_t EventQueue::allocSlot() {
   if (freeHead_ != kNpos) {
     const std::uint32_t idx = freeHead_;
-    freeHead_ = slots_[idx].nextFree;
-    slots_[idx].nextFree = kNpos;
+    freeHead_ = slot(idx).nextFree;
     return idx;
   }
-  // Slot indices must fit the 24-bit field of the id encoding; the bound is
-  // on *simultaneously live* events, not total throughput.
-  if (slots_.size() >= 0xfffffeu) {
+  // The bound is on *simultaneously live* events, not total throughput.
+  if (slotCount_ >= kMaxSlots) {
     throw std::length_error("EventQueue: more than 2^24-2 simultaneous events");
   }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  if (slotCount_ == chunks_.size() * kChunkSlots) {
+    // Slots never move once made: a callback runs in place while its own
+    // callback schedules more events. Not zero-filled; only the small slot
+    // headers are written.
+    pos_.resize((chunks_.size() + 1) * kChunkSlots, kNpos);
+    chunks_.push_back(std::make_unique_for_overwrite<Slot[]>(kChunkSlots));
+  }
+  return slotCount_++;
 }
 
-void EventQueue::freeSlot(std::uint32_t idx) {
-  Slot& s = slots_[idx];
-  s.cb.reset();  // release captures eagerly, not at slot reuse
-  s.state = SlotState::kFree;
-  s.heapPos = kNpos;
-  s.period = 0;
-  ++s.generation;  // stale handles to this slot stop resolving
-  s.nextFree = freeHead_;
-  freeHead_ = idx;
+void EventQueue::retire(std::uint32_t idx) {
+  ++slot(idx).generation;  // stale handles to this slot stop resolving
   --live_;
 }
 
-EventId EventQueue::schedule(SimTime when, Callback cb) {
+void EventQueue::release(std::uint32_t idx) {
+  Slot& s = slot(idx);
+  s.cb.reset();  // release captures eagerly, not at slot reuse
+  s.nextFree = freeHead_;
+  freeHead_ = idx;
+}
+
+std::uint64_t EventQueue::nextSeq() {
+  if (seqCounter_ == kMaxSeq) {
+    throw std::length_error("EventQueue: insertion sequence exhausted");
+  }
+  return ++seqCounter_;
+}
+
+EventId EventQueue::schedule(SimTime when, Callback&& cb) {
   assert(cb && "scheduling an empty callback");
   if (when < firedThrough_) {
     ++pastSchedules_;
@@ -60,36 +72,35 @@ EventId EventQueue::schedule(SimTime when, Callback cb) {
         "EventQueue::schedule: timestamp precedes the already-fired window "
         "(cross-shard lookahead violation or clock misuse)");
   }
+  const std::uint64_t seq = nextSeq();
   const std::uint32_t idx = allocSlot();
-  Slot& s = slots_[idx];
-  s.when = when;
-  s.seq = ++seqCounter_;
+  Slot& s = slot(idx);
   s.period = 0;
-  s.state = SlotState::kQueued;
   s.cb = std::move(cb);
-  heapPush(idx);
+  heapPush(keyOf(when, seq, idx));
   ++live_;
   ++scheduled_;
   return makeId(idx, s.generation);
 }
 
 EventId EventQueue::schedulePeriodic(SimTime first, SimDuration period,
-                                     Callback cb) {
+                                     Callback&& cb) {
   assert(cb && "scheduling an empty callback");
   assert(period > 0 && "periodic events need a positive period");
   const EventId id = schedule(first, std::move(cb));
-  slots_[resolve(id)].period = period;
+  slot(resolve(id)).period = period;
   return id;
 }
 
 bool EventQueue::cancel(EventId id) {
   const std::uint32_t idx = resolve(id);
   if (idx == kNpos) return false;
-  Slot& s = slots_[idx];
-  if (s.state == SlotState::kQueued) heapRemove(s.heapPos);
-  // kFiring: the callback was moved out for invocation; finishFire() will see
-  // the generation bump and drop it instead of re-arming.
-  freeSlot(idx);
+  retire(idx);
+  // Not in the heap: a periodic event whose callback is running right now.
+  // finishFire() frees the slot once the callback returns.
+  if (pos_[idx] == kNpos) return true;
+  heapRemove(pos_[idx]);
+  release(idx);
   return true;
 }
 
@@ -98,16 +109,15 @@ bool EventQueue::reschedulePeriodic(EventId id, SimTime now,
   assert(period > 0 && "periodic events need a positive period");
   const std::uint32_t idx = resolve(id);
   if (idx == kNpos) return false;
-  Slot& s = slots_[idx];
+  Slot& s = slot(idx);
   if (s.period <= 0) return false;
-  s.period = period;
-  if (s.state == SlotState::kQueued) {
-    heapRemove(s.heapPos);
-    s.when = now + period;
-    s.seq = ++seqCounter_;
-    heapPush(idx);
+  if (pos_[idx] != kNpos) {
+    const Key key = keyOf(now + period, nextSeq(), idx);
+    heapRemove(pos_[idx]);
+    heapPush(key);
   }
-  // kFiring: finishFire() re-arms at fire-time + the updated period.
+  // Firing: finishFire() re-arms at fire-time + the updated period.
+  s.period = period;
   return true;
 }
 
@@ -115,109 +125,84 @@ bool EventQueue::isPending(EventId id) const { return resolve(id) != kNpos; }
 
 SimTime EventQueue::nextTime() const {
   assert(!heap_.empty() && "nextTime() on empty queue");
-  return slots_[heap_.front()].when;
+  return heap_.front().when;
 }
 
 EventQueue::Firing EventQueue::beginFire() {
   assert(!heap_.empty() && "beginFire() on empty queue");
-  const std::uint32_t idx = heap_.front();
-  Slot& s = slots_[idx];
-  Firing f;
-  f.when = s.when;
-  firedThrough_ = s.when;
-  f.id = makeId(idx, s.generation);
-  f.cb = std::move(s.cb);
-  f.periodic = s.period > 0;
+  const Key top = heap_.front();
+  const std::uint32_t idx = top.slot();
   heapRemove(0);
-  if (f.periodic) {
-    s.state = SlotState::kFiring;  // stays live: cancel/reschedule still work
-  } else {
-    freeSlot(idx);
-  }
-  return f;
+  firedThrough_ = top.when;
+  Slot& s = slot(idx);
+  const EventId id = makeId(idx, s.generation);
+  if (s.period == 0) retire(idx);
+  return Firing{top.when, id, s.cb};
 }
 
-void EventQueue::finishFire(Firing&& f) {
-  if (!f.periodic) return;
-  const std::uint32_t idx = resolve(f.id);
-  if (idx == kNpos) return;  // cancelled from inside its own callback
-  Slot& s = slots_[idx];
-  assert(s.state == SlotState::kFiring);
-  s.cb = std::move(f.cb);
-  s.when = f.when + s.period;
-  s.seq = ++seqCounter_;  // re-arm orders after events the callback scheduled
-  s.state = SlotState::kQueued;
-  heapPush(idx);
+void EventQueue::finishFire(const Firing& f) {
+  const auto idx = static_cast<std::uint32_t>((f.id & kSlotMask) - 1);
+  Slot& s = slot(idx);
+  if (s.generation != static_cast<std::uint32_t>(f.id >> 32)) {
+    release(idx);  // a one-shot, or cancelled from inside its own callback
+    return;
+  }
+  heapPush(keyOf(f.when + s.period, nextSeq(), idx));
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-  Firing f = beginFire();
-  if (f.periodic) {
-    const std::uint32_t idx = resolve(f.id);
-    if (idx != kNpos) freeSlot(idx);
-  }
-  return {f.when, std::move(f.cb)};
+  const Firing f = beginFire();
+  Callback cb = std::move(f.cb);
+  cancel(f.id);  // deactivates a periodic event; a one-shot is already dead
+  finishFire(f);
+  return {f.when, std::move(cb)};
 }
 
-void EventQueue::heapPush(std::uint32_t idx) {
-  slots_[idx].heapPos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(idx);
-  siftUp(slots_[idx].heapPos);
+void EventQueue::heapPush(Key key) {
+  const auto pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(key);
+  siftUp(pos, key);
 }
 
 void EventQueue::heapRemove(std::uint32_t pos) {
   assert(pos < heap_.size());
-  slots_[heap_[pos]].heapPos = kNpos;
-  const auto last = static_cast<std::uint32_t>(heap_.size() - 1);
-  if (pos != last) {
-    const std::uint32_t moved = heap_[last];
-    heap_.pop_back();
-    heap_[pos] = moved;
-    slots_[moved].heapPos = pos;
-    // The displaced element may need to move either direction.
-    siftDown(pos);
-    if (slots_[moved].heapPos == pos) siftUp(pos);
+  pos_[heap_[pos].slot()] = kNpos;
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  // The displaced last key may need to move either direction.
+  if (pos > 0 && last < heap_[(pos - 1) / 4]) {
+    siftUp(pos, last);
   } else {
-    heap_.pop_back();
+    siftDown(pos, last);
   }
 }
 
-void EventQueue::siftUp(std::uint32_t pos) {
-  const std::uint32_t idx = heap_[pos];
+void EventQueue::siftUp(std::uint32_t pos, Key key) {
   while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    if (!before(idx, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heapPos = pos;
+    const std::uint32_t parent = (pos - 1) / 4;
+    if (!(key < heap_[parent])) break;
+    place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = idx;
-  slots_[idx].heapPos = pos;
+  place(pos, key);
 }
 
-void EventQueue::siftDown(std::uint32_t pos) {
-  const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-  const std::uint32_t idx = heap_[pos];
+void EventQueue::siftDown(std::uint32_t pos, Key key) {
+  const auto n = static_cast<std::uint32_t>(heap_.size());
   while (true) {
-    std::uint32_t best = pos;
-    const std::uint32_t l = 2 * pos + 1;
-    const std::uint32_t r = 2 * pos + 2;
-    std::uint32_t bestIdx = idx;
-    if (l < n && before(heap_[l], bestIdx)) {
-      best = l;
-      bestIdx = heap_[l];
+    const std::uint32_t first = 4 * pos + 1;
+    if (first >= n) break;
+    const std::uint32_t end = std::min(first + 4, n);
+    std::uint32_t best = first;
+    for (std::uint32_t c = first + 1; c < end; ++c) {
+      if (heap_[c] < heap_[best]) best = c;
     }
-    if (r < n && before(heap_[r], bestIdx)) {
-      best = r;
-      bestIdx = heap_[r];
-    }
-    if (best == pos) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heapPos = pos;
+    if (!(heap_[best] < key)) break;
+    place(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = idx;
-  slots_[idx].heapPos = pos;
+  place(pos, key);
 }
 
 }  // namespace softqos::sim

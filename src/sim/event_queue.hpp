@@ -1,16 +1,21 @@
 // Deterministic event queue for the softqos discrete-event kernel.
 //
-// Events live in a pooled slot arena; a binary heap of slot indices orders
-// them by (timestamp, insertion sequence), so events at equal timestamps fire
-// in insertion order and whole-system runs stay bit-reproducible. EventId
-// handles encode (slot, generation): cancelling a stale handle after the slot
-// was recycled is a safe no-op. Cancellation removes the heap entry eagerly
-// (no tombstones accumulate under cancel-heavy workloads such as RPC
-// timeouts) and returns the slot to a free list for reuse.
+// Events live in a chunked slot arena whose slots never move. A 4-ary heap
+// of inline 16-byte keys {when, seq << 24 | slot} orders them by (timestamp,
+// insertion sequence), so events at equal timestamps fire in insertion order
+// and whole-system runs stay bit-reproducible; sifts compare keys only and
+// never touch the ~200-byte slots. A per-slot position array finds an
+// event's key for cancellation. EventId handles encode (slot, generation):
+// cancelling a stale handle after the slot was recycled is a safe no-op.
+// Cancellation removes the heap entry eagerly (no tombstones accumulate
+// under cancel-heavy workloads such as RPC timeouts) and returns the slot to
+// a free list for reuse. A fired callback is invoked where it lies in its
+// slot; it is never moved out.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -37,14 +42,15 @@ class EventQueue {
  public:
   using Callback = SmallCallback;
 
-  /// One event popped for execution. For a periodic event the slot stays live
-  /// ("firing") while the callback runs so its id remains cancellable; the
-  /// kernel hands the record back via finishFire() to re-arm it.
+  /// One event taken for execution. `cb` is the callback in its arena slot:
+  /// the kernel invokes it in place, then hands the record to finishFire().
+  /// A one-shot event is dead from beginFire() on (cancel() returns false,
+  /// isPending() is false, size() excludes it); a periodic event stays live
+  /// while its callback runs, so the callback can cancel or re-time it.
   struct Firing {
-    SimTime when = 0;
-    EventId id = kInvalidEvent;
-    Callback cb;
-    bool periodic = false;
+    SimTime when;
+    EventId id;
+    Callback& cb;
   };
 
   EventQueue() = default;
@@ -61,22 +67,24 @@ class EventQueue {
     return static_cast<std::uint8_t>((id >> 24) & 0xffu);
   }
 
-  /// Schedule `cb` to fire once at absolute time `when`. Scheduling into the
-  /// already-fired past (`when` strictly before the timestamp of the most
-  /// recently fired event) is a logic error: it would silently reorder
-  /// history, and in a sharded run it means a cross-shard message violated
-  /// the lookahead contract. It fails loudly — asserts in debug builds,
-  /// bumps pastSchedules() and throws std::logic_error in all builds.
-  EventId schedule(SimTime when, Callback cb);
+  /// Schedule `cb` to fire once at absolute time `when`. The callback is
+  /// relocated once, into its slot. Scheduling into the already-fired past
+  /// (`when` strictly before the timestamp of the most recently fired event)
+  /// is a logic error: it would silently reorder history, and in a sharded
+  /// run it means a cross-shard message violated the lookahead contract. It
+  /// fails loudly — asserts in debug builds, bumps pastSchedules() and
+  /// throws std::logic_error in all builds.
+  EventId schedule(SimTime when, Callback&& cb);
 
   /// Schedule `cb` to fire at `first` and then every `period` ticks. The
   /// returned id stays valid across occurrences. `period` must be > 0.
-  EventId schedulePeriodic(SimTime first, SimDuration period, Callback cb);
+  EventId schedulePeriodic(SimTime first, SimDuration period, Callback&& cb);
 
-  /// Cancel a scheduled event (one-shot or periodic; also valid while the
-  /// event's own callback is running). Safe with stale or invalid ids;
-  /// returns true if the event was still live. The callback is destroyed and
-  /// the heap entry removed immediately.
+  /// Cancel a scheduled event (one-shot or periodic; also valid for a
+  /// periodic event while its own callback is running). Safe with stale or
+  /// invalid ids; returns true if the event was still live. A queued
+  /// event's callback is destroyed and its heap entry removed immediately; a
+  /// running periodic callback is destroyed by finishFire() once it returns.
   bool cancel(EventId id);
 
   /// Re-time a periodic event: its next occurrence moves to `now + period`
@@ -94,22 +102,26 @@ class EventQueue {
   /// Number of live events.
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Timestamp of the earliest live event. Precondition: !empty().
+  /// Timestamp of the earliest queued event. Precondition: !empty().
   [[nodiscard]] SimTime nextTime() const;
 
-  /// Pop the earliest event and remove it entirely (a periodic event is
-  /// deactivated). Precondition: !empty(). The kernel's fire path is
-  /// beginFire()/finishFire(); pop() serves tests and ad-hoc draining.
+  /// Remove the earliest event entirely and hand its callback out (a
+  /// periodic event is deactivated). Precondition: !empty(). The kernel's
+  /// fire path is beginFire()/finishFire(); pop() serves tests and ad-hoc
+  /// draining.
   std::pair<SimTime, Callback> pop();
 
-  /// Remove the earliest event for execution. The caller invokes `cb` after
-  /// advancing the clock, then must pass the record to finishFire().
+  /// Take the earliest event for execution. The caller invokes `cb` in place
+  /// after advancing the clock, then must pass the record to finishFire() —
+  /// also when the callback throws.
   Firing beginFire();
 
-  /// Complete a fire: re-arms a periodic event at when + period with a fresh
-  /// insertion sequence number (unless it was cancelled, or rescheduled, from
-  /// inside its own callback). One-shot records are a no-op.
-  void finishFire(Firing&& f);
+  /// Complete a fire. A one-shot event's slot is freed and its callback
+  /// destroyed; so is a periodic event's that was cancelled from inside its
+  /// own callback. Any other periodic event re-arms at when + period with a
+  /// fresh insertion sequence number, so it orders after events its
+  /// callback scheduled for the same time.
+  void finishFire(const Firing& f);
 
   /// Total events scheduled over the queue's lifetime, periodic re-arms
   /// excluded (diagnostics).
@@ -124,52 +136,84 @@ class EventQueue {
   /// schedule() refuses to insert. Starts at SimTime's minimum.
   [[nodiscard]] SimTime firedThrough() const { return firedThrough_; }
 
-  /// Number of arena slots ever allocated (diagnostics: bounded by the peak
-  /// number of simultaneously live events, not by total throughput).
-  [[nodiscard]] std::size_t slotCapacity() const { return slots_.size(); }
+  /// Number of arena slots ever handed out (diagnostics: bounded by the peak
+  /// number of simultaneously live or firing events, not by throughput).
+  [[nodiscard]] std::size_t slotCapacity() const { return slotCount_; }
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
-
-  enum class SlotState : std::uint8_t { kFree, kQueued, kFiring };
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1u << kSlotBits) - 1;
+  /// Slot indices must fit the 24-bit field of the id encoding.
+  static constexpr std::uint32_t kMaxSlots = 0xfffffeu;
+  /// Insertion sequence numbers share a key word with the slot index.
+  static constexpr std::uint64_t kMaxSeq =
+      (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+  /// Slots per arena chunk: small, so a fresh queue costs one ~12 KiB
+  /// allocation (the two-host testbed never has more than ~21 events live).
+  static constexpr unsigned kChunkBits = 6;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
   struct Slot {
-    SimTime when = 0;
-    std::uint64_t seq = 0;       // FIFO tie-break at equal timestamps
-    SimDuration period = 0;      // 0 = one-shot
-    std::uint32_t generation = 1;
-    std::uint32_t heapPos = kNpos;
-    std::uint32_t nextFree = kNpos;
-    SlotState state = SlotState::kFree;
     Callback cb;
+    SimDuration period = 0;  // 0 = one-shot
+    /// Bumped when the event dies (cancelled, or a one-shot begins firing),
+    /// so stale handles stop resolving.
+    std::uint32_t generation = 1;
+    std::uint32_t nextFree = kNpos;
+  };
+
+  /// Heap entry. Sequence numbers are unique, so the slot bits in `seqSlot`
+  /// never decide an order; they only name the event.
+  struct Key {
+    SimTime when;
+    std::uint64_t seqSlot;
+
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(seqSlot & kSlotMask);
+    }
+    [[nodiscard]] bool operator<(const Key& o) const {
+      return when < o.when || (when == o.when && seqSlot < o.seqSlot);
+    }
   };
 
   EventId makeId(std::uint32_t slot, std::uint32_t generation) const {
     return (static_cast<EventId>(generation) << 32) |
-           (static_cast<EventId>(shardTag_) << 24) |
+           (static_cast<EventId>(shardTag_) << kSlotBits) |
            (static_cast<EventId>(slot) + 1);
+  }
+
+  Slot& slot(std::uint32_t idx) const {
+    return chunks_[idx >> kChunkBits][idx & (kChunkSlots - 1)];
   }
 
   /// Slot index for `id`, or kNpos if the handle is stale/invalid.
   [[nodiscard]] std::uint32_t resolve(EventId id) const;
 
   std::uint32_t allocSlot();
-  void freeSlot(std::uint32_t idx);
-
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.when != sb.when) return sa.when < sb.when;
-    return sa.seq < sb.seq;
+  /// Kill the event in `idx`: its handles stop resolving, size() drops.
+  void retire(std::uint32_t idx);
+  /// Destroy the callback in `idx` and put the slot on the free list.
+  void release(std::uint32_t idx);
+  /// Next insertion sequence number; throws once the 40 bits run out.
+  std::uint64_t nextSeq();
+  static Key keyOf(SimTime when, std::uint64_t seq, std::uint32_t idx) {
+    return Key{when, (seq << kSlotBits) | idx};
   }
 
-  void heapPush(std::uint32_t idx);
+  void heapPush(Key key);
   void heapRemove(std::uint32_t pos);
-  void siftUp(std::uint32_t pos);
-  void siftDown(std::uint32_t pos);
+  void siftUp(std::uint32_t pos, Key key);
+  void siftDown(std::uint32_t pos, Key key);
+  void place(std::uint32_t pos, Key key) {
+    heap_[pos] = key;
+    pos_[key.slot()] = pos;
+  }
 
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // slot indices ordered by (when, seq)
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<Key> heap_;             // 4-ary, ordered by (when, seq)
+  std::vector<std::uint32_t> pos_;    // heap position per slot, or kNpos
+  std::uint32_t slotCount_ = 0;
   std::uint32_t freeHead_ = kNpos;
   std::size_t live_ = 0;
   std::uint64_t seqCounter_ = 0;

@@ -53,6 +53,18 @@ struct TlsCursor {
 };
 thread_local TlsCursor tlsCursor;
 
+/// Invoke a taken event's callback where it lies in its slot. A throwing
+/// callback still completes its fire, so a one-shot's slot is released and
+/// the queue's size() stays right; the exception then propagates.
+void invokeInPlace(EventQueue& queue, const EventQueue::Firing& f) {
+  try {
+    f.cb();
+  } catch (...) {
+    queue.finishFire(f);
+    throw;
+  }
+}
+
 }  // namespace
 
 Simulation::Simulation(std::uint64_t seed) : seed_(seed) {
@@ -72,19 +84,19 @@ Simulation::Shard& Simulation::cur() const {
   return *activeShard_;
 }
 
-EventId Simulation::after(SimDuration delay, EventQueue::Callback cb) {
+EventId Simulation::after(SimDuration delay, EventQueue::Callback&& cb) {
   if (delay < 0) throw std::invalid_argument("Simulation::after: negative delay");
   Shard& s = cur();
   return s.queue.schedule(s.now + delay, std::move(cb));
 }
 
-EventId Simulation::at(SimTime when, EventQueue::Callback cb) {
+EventId Simulation::at(SimTime when, EventQueue::Callback&& cb) {
   Shard& s = cur();
   if (when < s.now) throw std::invalid_argument("Simulation::at: time in the past");
   return s.queue.schedule(when, std::move(cb));
 }
 
-EventId Simulation::every(SimDuration period, EventQueue::Callback cb) {
+EventId Simulation::every(SimDuration period, EventQueue::Callback&& cb) {
   if (period <= 0) {
     throw std::invalid_argument("Simulation::every: period must be positive");
   }
@@ -140,7 +152,7 @@ MetricRegistry& Simulation::shardMetrics(ShardId shard) {
 }
 
 EventId Simulation::postToShard(ShardId target, SimTime when,
-                                EventQueue::Callback cb) {
+                                EventQueue::Callback&& cb) {
   if (target >= shards_.size()) {
     throw std::out_of_range("postToShard: no such shard");
   }
@@ -148,23 +160,23 @@ EventId Simulation::postToShard(ShardId target, SimTime when,
   Shard& to = *shards_[target];
   if (&to == &from) return to.queue.schedule(when, std::move(cb));
   std::lock_guard<std::mutex> lock(to.mailMutex);
-  to.mailbox.push_back(Mail{when, from.id, from.outSeq++, std::move(cb)});
+  to.mailbox.emplace_back(when, from.id, from.outSeq++, std::move(cb));
   return kInvalidEvent;
 }
 
 void Simulation::executeOne() {
   Shard& shard = *shard0_;
-  EventQueue::Firing f = shard.queue.beginFire();
+  const EventQueue::Firing f = shard.queue.beginFire();
   assert(f.when >= shard.now && "event queue produced a time in the past");
   shard.now = f.when;
   if (observer_ == nullptr) {
-    f.cb();
+    invokeInPlace(shard.queue, f);
   } else {
     // Kernel profiling: queue depth at dispatch plus the callback's
     // wall-clock cost. Only the observed path reads the host clock.
     const std::size_t depth = shard.queue.size();
     const auto start = std::chrono::steady_clock::now();
-    f.cb();
+    invokeInPlace(shard.queue, f);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     if (observer_ != nullptr) {  // the callback may have detached it
       observer_->onEventExecuted(
@@ -175,7 +187,7 @@ void Simulation::executeOne() {
     }
   }
   ++shard.executed;
-  shard.queue.finishFire(std::move(f));
+  shard.queue.finishFire(f);
 }
 
 std::uint64_t Simulation::runSerial(SimTime until, bool bounded) {
@@ -210,38 +222,44 @@ void Simulation::validateWindowedRun() const {
 }
 
 void Simulation::drainMailbox(Shard& shard) {
-  std::vector<Mail> mail;
+  std::vector<Mail>& mail = shard.draining;
+  mail.clear();  // whatever a drain that threw left behind is discarded
   {
     std::lock_guard<std::mutex> lock(shard.mailMutex);
     mail.swap(shard.mailbox);
   }
   if (mail.empty()) return;
-  std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.fromShard != b.fromShard) return a.fromShard < b.fromShard;
-    return a.seq < b.seq;
-  });
-  for (Mail& m : mail) {
-    if (m.when < shard.executedThrough) {
+  // Sort keys, not the Mail records: each carries a 176-byte callback. The
+  // keys are unique, so the order equals sorting the records themselves.
+  std::vector<MailKey>& order = shard.mailOrder;
+  order.clear();
+  for (std::size_t i = 0; i < mail.size(); ++i) {
+    order.push_back(MailKey{mail[i].when, mail[i].fromShard, mail[i].seq,
+                            static_cast<std::uint32_t>(i)});
+  }
+  std::sort(order.begin(), order.end());
+  for (const MailKey& key : order) {
+    if (key.when < shard.executedThrough) {
       pastWindowPosts_.fetch_add(1, std::memory_order_relaxed);
       assert(false && "cross-shard mail below the executed window");
       throw std::logic_error(
           "cross-shard message arrived below the receiving shard's executed "
           "window: lookahead violation");
     }
-    shard.queue.schedule(m.when, std::move(m.cb));
+    shard.queue.schedule(key.when, std::move(mail[key.index].cb));
   }
+  mail.clear();
 }
 
 void Simulation::executeWindow(Shard& shard, SimTime horizon) {
   EventQueue& q = shard.queue;
   while (!q.empty() && q.nextTime() < horizon) {
-    EventQueue::Firing f = q.beginFire();
+    const EventQueue::Firing f = q.beginFire();
     assert(f.when >= shard.now && "event queue produced a time in the past");
     shard.now = f.when;
-    f.cb();
+    invokeInPlace(q, f);
     ++shard.executed;
-    q.finishFire(std::move(f));
+    q.finishFire(f);
   }
   shard.executedThrough = horizon;
 }

@@ -70,15 +70,17 @@ class Simulation {
   [[nodiscard]] SimTime now() const { return cur().now; }
 
   /// Schedule `cb` to run after `delay` ticks (>= 0) on the current shard.
-  EventId after(SimDuration delay, EventQueue::Callback cb);
+  /// Callbacks are taken by rvalue: a closure is relocated once, into its
+  /// event slot, and later invoked there.
+  EventId after(SimDuration delay, EventQueue::Callback&& cb);
 
   /// Schedule `cb` at absolute time `when` (>= now()) on the current shard.
-  EventId at(SimTime when, EventQueue::Callback cb);
+  EventId at(SimTime when, EventQueue::Callback&& cb);
 
   /// Schedule `cb` to run every `period` ticks (> 0), first at now + period.
   /// The closure is constructed once and reused across occurrences; the
   /// returned id stays valid until cancelled (including from inside `cb`).
-  EventId every(SimDuration period, EventQueue::Callback cb);
+  EventId every(SimDuration period, EventQueue::Callback&& cb);
 
   /// Move a periodic event's next occurrence to now + `period` (from inside
   /// its own callback: fire-time + `period`) and make subsequent occurrences
@@ -132,7 +134,8 @@ class Simulation {
   /// kInvalidEvent (cross-shard events cannot be cancelled). Cross-shard
   /// `when` must respect the lookahead contract: >= the end of the current
   /// safe window, which any timestamp >= now() + lookahead satisfies.
-  EventId postToShard(ShardId target, SimTime when, EventQueue::Callback cb);
+  EventId postToShard(ShardId target, SimTime when,
+                      EventQueue::Callback&& cb);
 
   /// Mail that arrived below the target shard's already-executed window and
   /// was rejected (each also threw). Nonzero means a lookahead violation.
@@ -204,6 +207,20 @@ class Simulation {
     EventQueue::Callback cb;
   };
 
+  /// A Mail's sort key plus its index in the drained batch: the merge sorts
+  /// these, never the Mail records and their callbacks.
+  struct MailKey {
+    SimTime when;
+    ShardId fromShard;
+    std::uint64_t seq;
+    std::uint32_t index;
+    bool operator<(const MailKey& o) const {
+      if (when != o.when) return when < o.when;
+      if (fromShard != o.fromShard) return fromShard < o.fromShard;
+      return seq < o.seq;
+    }
+  };
+
   struct Shard {
     EventQueue queue;
     SimTime now = 0;
@@ -216,6 +233,9 @@ class Simulation {
     std::unique_ptr<MetricRegistry> registry;  // null on shard 0
     std::mutex mailMutex;
     std::vector<Mail> mailbox;
+    // Owner-only scratch for drainMailbox, kept to reuse its capacity.
+    std::vector<Mail> draining;
+    std::vector<MailKey> mailOrder;
   };
 
   /// The shard scheduling calls route to: the executing shard inside a

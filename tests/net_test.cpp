@@ -2,6 +2,13 @@
 // cross traffic, and the management RPC layer.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/network.hpp"
 #include "net/nic.hpp"
 #include "net/rpc.hpp"
@@ -163,6 +170,64 @@ TEST_F(TwoHosts, UnboundPortCountsDrop) {
   EXPECT_EQ(net.nicForHost("b")->unboundDrops(), 1u);
 }
 
+TEST_F(TwoHosts, CorruptedSingleFragmentMessageCountsCorruptDrop) {
+  auto sa = ha.createSocket();
+  auto sb = hb.createSocket();
+  net.connect(sa, ha, 100, sb, hb, 200);
+  int delivered = 0;
+  sb->setDaemonReceiver([&](osim::Message) { ++delivered; });
+  sim::RandomStream rng = s.stream("corrupt");
+  LinkFaultProfile corrupt;
+  corrupt.corruptRate = 1.0;
+  net.channel(net.nicForHost("a")->id(), sw.id())->setFaultProfile(corrupt,
+                                                                   &rng);
+  osim::Message m;
+  m.bytes = 1000;  // one fragment at MTU 1500: no reassembly state
+  sa->send(std::move(m));
+  s.runAll();
+  const Nic* nb = net.nicForHost("b");
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(nb->corruptDrops(), 1u);
+  EXPECT_EQ(nb->incompleteMessages(), 0u);
+}
+
+TEST(Reassembly, DroppedFragmentCountsIncompleteMessage) {
+  sim::Simulation s;
+  Network net(s);
+  osim::Host ha(s, "a");
+  osim::Host hb(s, "b");
+  Switch sw(net, "sw");
+  Nic& na = net.attachHost(ha);
+  Nic& nb = net.attachHost(hb);
+  // A queue smaller than the 1500-byte MTU drops every full fragment and
+  // passes a short last one.
+  ChannelConfig narrow = slowLink();
+  narrow.queueCapacityBytes = 1400;
+  net.link(na, sw, narrow);
+  net.link(nb, sw, slowLink());
+  auto sa = ha.createSocket();
+  auto sb = hb.createSocket();
+  net.connect(sa, ha, 100, sb, hb, 200);
+  int delivered = 0;
+  sb->setDaemonReceiver([&](osim::Message) { ++delivered; });
+
+  osim::Message m;
+  m.bytes = 2000;  // fragments of 1500 (dropped) and 500 (arrives)
+  sa->send(std::move(m));
+  s.runAll();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(nb.incompleteMessages(), 1u);
+  EXPECT_EQ(net.channel(na.id(), sw.id())->drops(), 1u);
+
+  osim::Message small;
+  small.bytes = 900;  // one fragment, under the queue capacity
+  sa->send(std::move(small));
+  s.runAll();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(nb.incompleteMessages(), 1u);
+  EXPECT_EQ(nb.corruptDrops(), 0u);
+}
+
 // ---- Routing ----
 
 TEST(Routing, MultiHopShortestPath) {
@@ -234,6 +299,120 @@ TEST(Routing, DisablingTheOnlyLinkPartitions) {
   EXPECT_NE(net.nextHop(na.id(), nb.id()), kNoNode);
   net.setLinkEnabled(na.id(), nb.id(), false);
   EXPECT_EQ(net.nextHop(na.id(), nb.id()), kNoNode);
+}
+
+// The flat next-port table against a brute-force reference kept by the
+// test itself: per destination, a BFS over the links in the order they
+// were made, skipping disabled ones and transiting only switches. nextHop
+// must equal it for every pair, and a packet forwarded between every two
+// endpoints must arrive exactly when the reference finds a route.
+TEST(Routing, NextPortTableMatchesBruteForceBfs) {
+  std::mt19937_64 rng(24);
+  auto draw = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::uint64_t routedPairs = 0;
+  std::uint64_t partitionedPairs = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    sim::Simulation s;
+    Network net(s);
+    const int switches = draw(1, 8);
+    const int endpoints = draw(2, 6);
+    std::vector<std::unique_ptr<NetNode>> nodes;
+    for (int i = 0; i < switches; ++i) {
+      nodes.push_back(std::make_unique<Switch>(net, "s" + std::to_string(i)));
+    }
+    for (int i = 0; i < endpoints; ++i) {
+      nodes.push_back(
+          std::make_unique<TrafficSink>(net, "e" + std::to_string(i)));
+    }
+    const int n = switches + endpoints;  // ids follow creation order
+    std::vector<std::vector<NodeId>> adjacency(static_cast<std::size_t>(n));
+    std::vector<std::pair<NodeId, NodeId>> links;
+    auto link = [&](int a, int b) {
+      net.link(*nodes[static_cast<std::size_t>(a)],
+               *nodes[static_cast<std::size_t>(b)]);
+      adjacency[static_cast<std::size_t>(a)].push_back(b);
+      adjacency[static_cast<std::size_t>(b)].push_back(a);
+      links.emplace_back(a, b);
+    };
+    for (int e = draw(0, 2 * switches); e > 0; --e) {
+      const int a = draw(0, switches - 1);
+      const int b = draw(0, switches - 1);
+      if (a != b) link(a, b);  // repeated pairs make parallel links
+    }
+    for (int i = switches; i < n; ++i) {
+      for (int k = draw(1, 2); k > 0; --k) link(i, draw(0, switches - 1));
+      const int peer = draw(switches, n - 1);
+      if (peer != i && draw(0, 5) == 0) link(i, peer);  // endpoint to endpoint
+    }
+    std::set<std::pair<NodeId, NodeId>> disabled;
+    for (const auto& [a, b] : links) {
+      if (draw(0, 4) == 0) {
+        ASSERT_TRUE(net.setLinkEnabled(a, b, false));
+        disabled.insert({a, b});
+        disabled.insert({b, a});
+      }
+    }
+
+    std::vector<std::vector<NodeId>> reference(
+        static_cast<std::size_t>(n),
+        std::vector<NodeId>(static_cast<std::size_t>(n), kNoNode));
+    for (int dst = 0; dst < n; ++dst) {
+      std::vector<bool> seen(static_cast<std::size_t>(n), false);
+      std::vector<NodeId> frontier{dst};
+      seen[static_cast<std::size_t>(dst)] = true;
+      for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const NodeId cur = frontier[head];
+        if (cur != dst && cur >= switches) continue;  // endpoints never transit
+        for (const NodeId nb : adjacency[static_cast<std::size_t>(cur)]) {
+          if (disabled.contains({nb, cur}) ||
+              seen[static_cast<std::size_t>(nb)]) {
+            continue;
+          }
+          seen[static_cast<std::size_t>(nb)] = true;
+          reference[static_cast<std::size_t>(nb)]
+                   [static_cast<std::size_t>(dst)] = cur;
+          frontier.push_back(nb);
+        }
+      }
+    }
+
+    std::uint64_t reachable = 0;
+    std::uint64_t unreachable = 0;
+    for (int from = 0; from < n; ++from) {
+      for (int dst = 0; dst < n; ++dst) {
+        const NodeId hop = reference[static_cast<std::size_t>(from)]
+                                    [static_cast<std::size_t>(dst)];
+        ASSERT_EQ(net.nextHop(from, dst), hop)
+            << "trial " << trial << " from " << from << " to " << dst;
+        if (hop != kNoNode) {
+          ASSERT_NE(net.channel(from, hop), nullptr);
+          ASSERT_TRUE(net.linkEnabled(from, hop));
+        }
+        if (from < switches || dst < switches || from == dst) continue;
+        Packet p;
+        p.src = from;
+        p.dst = dst;
+        p.bytes = 100;
+        net.forward(from, std::move(p));
+        (hop != kNoNode ? reachable : unreachable) += 1;
+      }
+    }
+    s.runAll();
+    std::uint64_t received = 0;
+    for (int i = switches; i < n; ++i) {
+      received += static_cast<const TrafficSink&>(
+                      *nodes[static_cast<std::size_t>(i)])
+                      .packetsReceived();
+    }
+    EXPECT_EQ(received, reachable) << "trial " << trial;
+    EXPECT_EQ(net.unreachableDrops(), unreachable) << "trial " << trial;
+    routedPairs += reachable;
+    partitionedPairs += unreachable;
+  }
+  EXPECT_GT(routedPairs, 100u);
+  EXPECT_GT(partitionedPairs, 10u);
 }
 
 TEST(Routing, UnreachableDestinationCountsDrop) {

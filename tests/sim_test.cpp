@@ -2,6 +2,15 @@
 // simulation clock semantics, random streams, metrics and tracing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/csv.hpp"
@@ -117,6 +126,131 @@ TEST(EventQueue, SlotsAreReusedInsteadOfGrowingTheArena) {
     q.cancel(q.schedule(round + 1, [] {}));
   }
   EXPECT_LE(q.slotCapacity(), 4u);
+}
+
+// Seeded schedule/cancel/reschedule/every/fire sequences against a
+// std::set<(when, seq)> model of the ready order. Firing callbacks also
+// schedule ties, cancel themselves and re-time themselves, and stale
+// handles are cancelled and rescheduled throughout.
+TEST(EventQueue, MatchesAnOrderedSetModel) {
+  struct Live {
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    SimDuration period = 0;  // 0 = one-shot
+  };
+  EventQueue q;
+  std::set<std::pair<SimTime, std::uint64_t>> order;  // queued (when, seq)
+  std::map<std::uint64_t, EventId> idBySeq;
+  std::map<EventId, Live> live;
+  std::vector<EventId> issued;  // every id handed out, stale ones included
+  std::uint64_t seq = 0;
+  SimTime now = 0;
+  std::mt19937_64 rng(20261018);
+  auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  auto arm = [&](EventId id, SimTime when) {
+    Live& e = live[id];
+    e.when = when;
+    e.seq = ++seq;
+    order.emplace(when, e.seq);
+    idBySeq[e.seq] = id;
+  };
+  auto disarm = [&](EventId id) {
+    const Live& e = live.at(id);
+    order.erase({e.when, e.seq});
+    idBySeq.erase(e.seq);
+  };
+  auto recentId = [&] {
+    const auto window = static_cast<std::int64_t>(std::min<std::size_t>(
+        issued.size(), 48));
+    return issued[issued.size() - 1 -
+                  static_cast<std::size_t>(draw(0, window - 1))];
+  };
+  std::function<void()> inside = [] {};
+  auto scheduleOneShot = [&](SimTime when) {
+    const EventId id = q.schedule(when, [&inside] { inside(); });
+    live[id].period = 0;
+    arm(id, when);
+    issued.push_back(id);
+  };
+
+  std::uint64_t fires = 0;
+  std::size_t peakLive = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::int64_t op = draw(0, 9);
+    if (op <= 2) {
+      scheduleOneShot(now + draw(0, 50));
+    } else if (op == 3) {
+      const SimDuration period = draw(1, 40);
+      const EventId id =
+          q.schedulePeriodic(now + period, period, [&inside] { inside(); });
+      live[id].period = period;
+      arm(id, now + period);
+      issued.push_back(id);
+    } else if (op == 4 && !issued.empty()) {
+      const EventId id = recentId();
+      const bool expected = live.contains(id);
+      ASSERT_EQ(q.cancel(id), expected);
+      if (expected) {
+        disarm(id);
+        live.erase(id);
+      }
+    } else if (op == 5 && !issued.empty()) {
+      const EventId id = recentId();
+      const SimDuration period = draw(1, 40);
+      const auto it = live.find(id);
+      const bool expected = it != live.end() && it->second.period > 0;
+      ASSERT_EQ(q.reschedulePeriodic(id, now, period), expected);
+      if (expected) {
+        disarm(id);
+        it->second.period = period;
+        arm(id, now + period);
+      }
+    } else if (!q.empty()) {
+      ASSERT_FALSE(order.empty());
+      const auto [when, firstSeq] = *order.begin();
+      const EventId expectedId = idBySeq.at(firstSeq);
+      const EventQueue::Firing f = q.beginFire();
+      ASSERT_EQ(f.when, when);
+      ASSERT_EQ(f.id, expectedId);
+      now = f.when;
+      disarm(expectedId);
+      const bool periodic = live.at(expectedId).period > 0;
+      if (!periodic) live.erase(expectedId);
+      ASSERT_EQ(q.isPending(f.id), periodic);
+      ASSERT_EQ(q.size(), live.size());
+      const std::int64_t action = draw(0, 5);
+      inside = [&, action, periodic, id = f.id] {
+        if (action == 0) {
+          scheduleOneShot(now + draw(0, 3));  // ties with the re-arm
+        } else if (action == 1) {
+          EXPECT_EQ(q.cancel(id), periodic);
+          if (periodic) live.erase(id);
+        } else if (action == 2) {
+          const SimDuration period = draw(1, 40);
+          EXPECT_EQ(q.reschedulePeriodic(id, now, period), periodic);
+          if (periodic) live.at(id).period = period;
+        }
+      };
+      f.cb();
+      q.finishFire(f);
+      inside = [] {};
+      ++fires;
+      const auto it = live.find(expectedId);
+      if (it != live.end()) arm(expectedId, when + it->second.period);
+    }
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
+    if (!order.empty()) {
+      ASSERT_EQ(q.nextTime(), order.begin()->first);
+    }
+    peakLive = std::max(peakLive, live.size());
+  }
+  EXPECT_GT(fires, 2000u);
+  // Slots are recycled: at most one beyond the live peak (a firing
+  // one-shot holds its slot until finishFire).
+  EXPECT_LE(q.slotCapacity(), peakLive + 1);
 }
 
 // ---- Simulation ----
@@ -273,6 +407,86 @@ TEST(Simulation, PeriodicReArmLosesTiesToCallbackScheduledWork) {
   s.runUntil(msec(20));
   EXPECT_TRUE(s.cancel(id));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+}
+
+// ---- In-place fire ----
+
+TEST(Simulation, ThrowingCallbackReleasesItsSlot) {
+  Simulation s;
+  s.at(usec(1), [] { throw std::runtime_error("callback failed"); });
+  const EventId later = s.at(usec(2), [] {});
+  EXPECT_THROW(s.runAll(), std::runtime_error);
+  EXPECT_EQ(s.queue().size(), 1u);
+  EXPECT_FALSE(s.queue().empty());
+  EXPECT_TRUE(s.queue().isPending(later));
+  // The thrown event's slot is back on the free list: the next event reuses
+  // it instead of growing the arena.
+  const std::size_t slots = s.queue().slotCapacity();
+  s.at(usec(3), [] {});
+  EXPECT_EQ(s.queue().slotCapacity(), slots);
+  EXPECT_EQ(s.runAll(), 2u);
+  EXPECT_TRUE(s.queue().empty());
+}
+
+TEST(Simulation, ThrowingPeriodicCallbackStaysArmed) {
+  Simulation s;
+  int fired = 0;
+  const EventId id = s.every(msec(1), [&] {
+    if (++fired == 2) throw std::runtime_error("second tick failed");
+  });
+  EXPECT_THROW(s.runUntil(msec(5)), std::runtime_error);
+  EXPECT_EQ(fired, 2);
+  EXPECT_TRUE(s.queue().isPending(id));
+  EXPECT_EQ(s.queue().size(), 1u);
+  s.runUntil(msec(4));
+  EXPECT_EQ(fired, 4);
+  EXPECT_TRUE(s.cancel(id));
+  EXPECT_TRUE(s.queue().empty());
+}
+
+TEST(Simulation, OneShotCannotCancelOrRescheduleItselfWhileFiring) {
+  Simulation s;
+  EventId id = kInvalidEvent;
+  bool pending = true;
+  bool cancelled = true;
+  bool rescheduled = true;
+  std::size_t sizeInside = 0;
+  id = s.at(usec(5), [&] {
+    pending = s.queue().isPending(id);
+    sizeInside = s.queue().size();
+    cancelled = s.cancel(id);
+    rescheduled = s.reschedule(id, usec(1));
+  });
+  s.at(usec(9), [] {});
+  EXPECT_EQ(s.runAll(), 2u);
+  EXPECT_FALSE(pending);
+  EXPECT_EQ(sizeInside, 1u);  // only the other event counts while it fires
+  EXPECT_FALSE(cancelled);
+  EXPECT_FALSE(rescheduled);
+  EXPECT_TRUE(s.queue().empty());
+}
+
+TEST(Simulation, CallbackRunsInPlaceWhileItsSchedulingGrowsTheArena) {
+  // The running closure stays where it is while it schedules far more
+  // events than one arena chunk holds; a slot that moved would leave the
+  // captured string moved-from and freed (caught under ASan). The capture
+  // is a non-const string, so the closure is nothrow-movable and lives
+  // inline in its slot rather than in a heap node of its own.
+  Simulation s;
+  const std::string expected(200, 'p');
+  std::string before;
+  std::string after;
+  int fired = 0;
+  s.at(usec(1), [&, payload = expected] {
+    before = payload;
+    for (int i = 0; i < 1000; ++i) s.after(usec(1 + i), [&fired] { ++fired; });
+    after = payload;
+  });
+  EXPECT_EQ(s.runAll(), 1001u);
+  EXPECT_EQ(before, expected);
+  EXPECT_EQ(after, expected);
+  EXPECT_EQ(fired, 1000);
+  EXPECT_GE(s.queue().slotCapacity(), 1001u);
 }
 
 // A span observer that only counts the kernel's per-event profiling hook

@@ -3,8 +3,9 @@
 // the plane off (baseline), on at the full tier, and on the rejection path
 // (the cost of shedding one incompatible registration under a storm).
 //
-// Recorded to BENCH_contracts.json by scripts/bench.sh contracts; successive
-// PRs keep the benchmark names stable so the numbers form a trajectory.
+// A developer tool, run directly (--benchmark_filter=<name>); end-to-end
+// numbers come from perfbench (perfbench/README.md). Benchmark names stay
+// stable so the figures cited in README.md and EXPERIMENTS.md can be re-run.
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -10,11 +10,11 @@
 //
 // The shard count is fixed across thread counts, so every row executes the
 // byte-identical event schedule — the benchmark isolates the cost/benefit of
-// worker threads from any change in simulation behaviour. Recorded to
-// BENCH_parallel.json by scripts/bench.sh parallel. Numbers are only as good
-// as the machine: on a single-core container every thread count shares one
-// CPU and the >1-thread rows mostly measure barrier overhead; scaling needs
-// real cores.
+// worker threads from any change in simulation behaviour. A developer tool,
+// run directly; end-to-end numbers come from perfbench (perfbench/README.md).
+// Numbers are only as good as the machine: on a single-core container every
+// thread count shares one CPU and the >1-thread rows mostly measure barrier
+// overhead; scaling needs real cores.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -2,8 +2,9 @@
 // churn (the RPC-timeout pattern), recurring-timer storms (sensor ticks, CPU
 // quanta), metric recording, disabled tracing, and an end-to-end testbed run.
 //
-// Recorded to BENCH_sim.json by scripts/bench.sh sim; successive PRs keep the
-// benchmark names stable so the numbers form a trajectory.
+// A developer tool, run directly (--benchmark_filter=<name>); end-to-end
+// numbers come from perfbench (perfbench/README.md). Benchmark names stay
+// stable so the figures cited in DESIGN.md and EXPERIMENTS.md can be re-run.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -386,8 +386,9 @@ void PolicyAgent::startProbe(Session& session) {
       sim::msec(1),
       static_cast<sim::SimDuration>(session.offer.leaseMs * 1000.0));
   const std::uint32_t pid = session.reg.pid;
-  const std::string host = session.reg.hostName;
-  session.probeEvent = sim_.every(period, [this, pid, host, period] {
+  session.probeEvent = sim_.every(period, [this, pid,
+                                           host = session.reg.hostName,
+                                           period] {
     const auto it = sessions_.find(pid);
     if (it == sessions_.end() || !it->second.alive) return;
     ++probes_;

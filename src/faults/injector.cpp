@@ -32,14 +32,14 @@ void FaultInjector::registerDomainManager(const std::string& seatHost,
 
 void FaultInjector::arm(const FaultPlan& plan) {
   for (const FaultEvent& event : plan.events()) {
-    scheduleEvent(event);
+    scheduleEvent(armed_.emplace_back(event));
   }
 }
 
 void FaultInjector::scheduleEvent(const FaultEvent& event) {
   if (sim_.shardCount() == 1) {
     // Historical single-queue path: one event, shared link stream.
-    sim_.at(event.at, [this, event] { fire(event); });
+    sim_.at(event.at, [this, e = &event] { fire(*e); });
     return;
   }
   switch (event.kind) {
@@ -54,7 +54,7 @@ void FaultInjector::scheduleEvent(const FaultEvent& event) {
       // execute on the shard owning the target host.
       osim::Host* host = findHost(event.host);
       const sim::ShardId target = host != nullptr ? host->shard() : 0;
-      sim_.postToShard(target, event.at, [this, event] { fire(event); });
+      sim_.postToShard(target, event.at, [this, e = &event] { fire(*e); });
       return;
     }
   }
@@ -78,21 +78,23 @@ void FaultInjector::scheduleLinkEvent(const FaultEvent& event) {
   if (a == nullptr || b == nullptr || a->shard() == b->shard()) {
     const sim::ShardId target = (a != nullptr && b != nullptr) ? a->shard() : 0;
     sim_.postToShard(target, event.at,
-                     [this, event, profile, randomAB, randomBA] {
-                       applyLinkProfile(event, profile, randomAB, randomBA);
+                     [this, e = &event, profile, randomAB, randomBA] {
+                       applyLinkProfile(*e, profile, randomAB, randomBA);
                      });
     return;
   }
   // Endpoints on different shards: apply each direction on the shard owning
   // the channel's source; the A-side post does the accounting.
-  sim_.postToShard(a->shard(), event.at, [this, event, profile, randomAB] {
-    applyLinkDirection(event, profile, randomAB, /*reverse=*/false,
-                       /*account=*/true);
-  });
-  sim_.postToShard(b->shard(), event.at, [this, event, profile, randomBA] {
-    applyLinkDirection(event, profile, randomBA, /*reverse=*/true,
-                       /*account=*/false);
-  });
+  sim_.postToShard(a->shard(), event.at,
+                   [this, e = &event, profile, randomAB] {
+                     applyLinkDirection(*e, profile, randomAB,
+                                        /*reverse=*/false, /*account=*/true);
+                   });
+  sim_.postToShard(b->shard(), event.at,
+                   [this, e = &event, profile, randomBA] {
+                     applyLinkDirection(*e, profile, randomBA,
+                                        /*reverse=*/true, /*account=*/false);
+                   });
 }
 
 sim::RandomStream* FaultInjector::directionStream(const std::string& from,

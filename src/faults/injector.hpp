@@ -67,6 +67,8 @@ class FaultInjector {
   [[nodiscard]] sim::RandomStream& linkRandom() { return linkRandom_; }
 
  private:
+  /// `event` is an element of armed_: the scheduled closures keep its
+  /// address, not a copy.
   void scheduleEvent(const FaultEvent& event);
   void scheduleLinkEvent(const FaultEvent& event);
   void fire(const FaultEvent& event);
@@ -93,6 +95,7 @@ class FaultInjector {
   std::map<std::string, osim::Host*> hosts_;
   std::map<std::string, manager::QoSHostManager*> hostManagers_;
   std::map<std::string, manager::QoSDomainManager*> domainManagers_;
+  std::deque<FaultEvent> armed_;  // stable addresses
   std::deque<sim::RandomStream> linkStreams_;  // stable addresses
   std::map<std::string, std::size_t> linkStreamIndex_;
   std::atomic<std::uint64_t> injected_{0};

@@ -3,25 +3,9 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "sim/text.hpp"
+
 namespace softqos::instrument {
-
-namespace {
-
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-}  // namespace
 
 std::string controlQueueKey(std::uint32_t pid) {
   return "qosl-ctl-" + std::to_string(pid);
@@ -52,7 +36,7 @@ std::string ControlCommand::serialize() const {
 }
 
 bool ControlCommand::parse(const std::string& text, ControlCommand& out) {
-  const auto parts = split(text, '|');
+  const auto parts = sim::splitString(text, '|');
   if (parts.size() < 2 || parts[0] != "CTL") return false;
   const std::string& verb = parts[1];
   if (verb == "adapt" && parts.size() >= 3) {

@@ -3,30 +3,9 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "sim/text.hpp"
+
 namespace softqos::instrument {
-
-namespace {
-
-std::vector<std::string> split(const std::string& s, char delim,
-                               std::size_t maxParts) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    if (maxParts != 0 && out.size() + 1 == maxParts) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-}  // namespace
 
 std::optional<double> ViolationReport::metric(const std::string& name) const {
   for (const auto& [k, v] : metrics) {
@@ -48,7 +27,7 @@ std::string ViolationReport::serialize() const {
 }
 
 std::optional<ViolationReport> ViolationReport::parse(const std::string& text) {
-  const auto parts = split(text, '|', 9);
+  const auto parts = sim::splitString(text, '|', 9);
   if ((parts.size() != 8 && parts.size() != 9) || parts[0] != "QOSRPT") {
     return std::nullopt;
   }
@@ -66,7 +45,7 @@ std::optional<ViolationReport> ViolationReport::parse(const std::string& text) {
     return std::nullopt;
   }
   if (!parts[7].empty()) {
-    for (const std::string& kv : split(parts[7], ';', 0)) {
+    for (const std::string& kv : sim::splitString(parts[7], ';')) {
       const std::size_t eq = kv.find('=');
       if (eq == std::string::npos) return std::nullopt;
       r.metrics.emplace_back(kv.substr(0, eq),

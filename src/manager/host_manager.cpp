@@ -5,6 +5,7 @@
 
 #include "manager/default_rules.hpp"
 #include "rules/parser.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::manager {
 
@@ -512,7 +513,7 @@ bool QoSHostManager::handleContractEvent(const std::string& body) {
   if (crashed_) return false;
   std::string kind, contract, detail;
   std::uint32_t pid = 0;
-  for (const std::string& part : net::splitString(body, ';', 4)) {
+  for (const std::string& part : sim::splitString(body, ';', 4)) {
     const auto eq = part.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = part.substr(0, eq);

@@ -6,43 +6,9 @@
 #include <utility>
 
 #include "net/nic.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::net {
-
-namespace {
-
-/// Strict unsigned parse: the whole string must be digits. Corrupted or
-/// malformed frames yield nullopt instead of UB/throws.
-std::optional<std::uint64_t> parseU64(const std::string& s) {
-  if (s.empty() || s.size() > 19) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
-}  // namespace
-
-std::vector<std::string> splitString(const std::string& s, char delim,
-                                     std::size_t maxParts) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    if (maxParts != 0 && out.size() + 1 == maxParts) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 RpcEndpoint::RpcEndpoint(Network& network, osim::Host& host, int port)
     : network_(network),
@@ -189,12 +155,12 @@ void RpcEndpoint::onMessage(osim::Message m) {
   // Traced requests ("QT") carry one extra leading field: the caller's span
   // context. Untraced frames keep the seed layout byte-for-byte.
   const bool traced = m.payload.rfind("QT|", 0) == 0;
-  const auto parts = splitString(m.payload, '|', traced ? 7 : 6);
+  const auto parts = sim::splitString(m.payload, '|', traced ? 7 : 6);
   if (parts.empty()) return;
   if ((parts[0] == "Q" && parts.size() == 6) ||
       (parts[0] == "QT" && parts.size() == 7)) {
     const std::size_t off = traced ? 1 : 0;
-    const auto replyPort = parseU64(parts[3 + off]);
+    const auto replyPort = sim::parseU64(parts[3 + off]);
     if (!replyPort.has_value()) return;  // malformed frame
     sim::TraceContext callerCtx;
     if (traced) callerCtx = sim::TraceContext::parse(parts[1]);
@@ -269,7 +235,7 @@ void RpcEndpoint::onMessage(osim::Message m) {
     // One-way notification: N|<method>|<body>. Run the handler with a
     // discarding responder; unknown methods are silently ignored (there is
     // nobody to tell).
-    const auto note = splitString(m.payload, '|', 3);
+    const auto note = sim::splitString(m.payload, '|', 3);
     if (note.size() < 3) return;
     const auto it = handlers_.find(note[1]);
     if (it == handlers_.end()) return;
@@ -280,9 +246,9 @@ void RpcEndpoint::onMessage(osim::Message m) {
   }
   if (parts[0] == "S") {
     // Frame: S|<id>|<body> — body may itself contain '|'.
-    const auto resp = splitString(m.payload, '|', 3);
+    const auto resp = sim::splitString(m.payload, '|', 3);
     if (resp.size() < 3) return;
-    const auto id = parseU64(resp[1]);
+    const auto id = sim::parseU64(resp[1]);
     if (!id.has_value()) return;  // malformed frame
     const auto it = pending_.find(*id);
     if (it == pending_.end()) {

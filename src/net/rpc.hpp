@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/network.hpp"
 #include "osim/host.hpp"
@@ -160,10 +159,5 @@ class RpcEndpoint {
   std::uint64_t duplicates_ = 0;
   std::uint64_t notifications_ = 0;
 };
-
-/// Split `s` on `delim` into at most `maxParts` pieces (the last keeps the
-/// remainder). Shared by the RPC framing and report serialization.
-std::vector<std::string> splitString(const std::string& s, char delim,
-                                     std::size_t maxParts = 0);
 
 }  // namespace softqos::net

@@ -4,8 +4,8 @@
 // closures the simulator actually schedules — a socket delivery captures a
 // continuation plus a Message (~130 bytes), a NIC hop captures a whole Packet
 // — so nearly every scheduled event paid a heap allocation. SmallCallback
-// stores captures up to kInlineCapacity bytes in place and only falls back to
-// the heap above that, which covers every closure in the tree today.
+// stores every closure in place, in kInlineCapacity bytes; a closure that is
+// larger or not nothrow-movable does not compile.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,7 @@ namespace softqos::sim {
 class SmallCallback {
  public:
   /// Sized to hold the largest hot-path closure (socket delivery: a
-  /// std::function continuation + an osim::Message) without spilling.
+  /// std::function continuation + an osim::Message).
   static constexpr std::size_t kInlineCapacity = 168;
 
   SmallCallback() = default;
@@ -29,13 +29,17 @@ class SmallCallback {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (fitsInline<Fn>()) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    static_assert(sizeof(Fn) <= kInlineCapacity &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "event callback does not fit SmallCallback's inline "
+                  "buffer (kInlineCapacity bytes, max_align_t alignment): "
+                  "capture a pointer to large state instead of a copy");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "event callback is not nothrow-movable; the usual cause is "
+                  "a const object captured by copy (a const std::string or a "
+                  "const struct): init-capture a non-const copy or a pointer");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &kOps<Fn>;
   }
 
   SmallCallback(SmallCallback&& other) noexcept { moveFrom(other); }
@@ -59,9 +63,6 @@ class SmallCallback {
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  /// True when the callable lives in the inline buffer (diagnostics/tests).
-  [[nodiscard]] bool isInline() const { return ops_ != nullptr && ops_->inlined; }
-
   void reset() {
     if (ops_ != nullptr) {
       ops_->destroy(storage_);
@@ -74,18 +75,10 @@ class SmallCallback {
     void (*invoke)(void*);
     void (*relocate)(void* from, void* to);  // move-construct to, destroy from
     void (*destroy)(void*);
-    bool inlined;
   };
 
   template <typename Fn>
-  static constexpr bool fitsInline() {
-    return sizeof(Fn) <= kInlineCapacity &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* o) { (*std::launder(reinterpret_cast<Fn*>(o)))(); },
       [](void* from, void* to) {
         Fn* src = std::launder(reinterpret_cast<Fn*>(from));
@@ -93,17 +86,6 @@ class SmallCallback {
         src->~Fn();
       },
       [](void* o) { std::launder(reinterpret_cast<Fn*>(o))->~Fn(); },
-      /*inlined=*/true,
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      [](void* o) { (**std::launder(reinterpret_cast<Fn**>(o)))(); },
-      [](void* from, void* to) {
-        ::new (to) Fn*(*std::launder(reinterpret_cast<Fn**>(from)));
-      },
-      [](void* o) { delete *std::launder(reinterpret_cast<Fn**>(o)); },
-      /*inlined=*/false,
   };
 
   void moveFrom(SmallCallback& other) noexcept {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "sim/text.hpp"
+
 namespace softqos::sim {
 
 namespace {
@@ -26,16 +28,6 @@ std::vector<std::string_view> splitView(std::string_view s, char delim) {
     out.push_back(s.substr(start, pos - start));
     start = pos + 1;
   }
-}
-
-std::optional<std::uint64_t> parseU64(std::string_view s) {
-  if (s.empty() || s.size() > 19) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
 }
 
 std::optional<std::int64_t> parseI64(std::string_view s) {

@@ -14,6 +14,7 @@
 #include "net/rpc.hpp"
 #include "net/switch.hpp"
 #include "net/traffic.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::net {
 namespace {
@@ -559,13 +560,13 @@ TEST_F(RpcFixture, ConcurrentCallsMatchResponses) {
 }
 
 TEST(SplitString, MaxPartsKeepsRemainder) {
-  const auto parts = splitString("a|b|c|d", '|', 3);
+  const auto parts = sim::splitString("a|b|c|d", '|', 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[2], "c|d");
 }
 
 TEST(SplitString, NoDelimiterYieldsWhole) {
-  const auto parts = splitString("abc", '|', 0);
+  const auto parts = sim::splitString("abc", '|', 0);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "abc");
 }

@@ -1,8 +1,9 @@
 // City-scale observability gates: the tiny contract-plane city with tail
 // sampling, whose strongest contract offerer's host crashes at t=2 s, run on
-// the serial kernel and on 8 shards driven by 1, 2 and 4 workers.
+// the serial kernel and on 8 shards driven by 1, 2, 4 and 8 workers.
 //   - every run keeps complete "contract:liveliness-lost" and
-//     "contract:owner-changed" traces and cuts spans by at least 90%,
+//     "contract:owner-changed" traces, cuts spans by at least 90% and keeps
+//     no more spans than the sampler's cap,
 //   - every analyzed episode's critical path tiles its root exactly, and the
 //     flame graph's total weight equals the attributed total,
 //   - the digest, the retained-trace export and the analysis exports are
@@ -31,6 +32,7 @@ struct ObsCityRun {
   std::string analysisJson;
   std::uint64_t totalSpans = 0;
   std::uint64_t retainedSpans = 0;
+  std::uint64_t retainedCap = 0;
   std::uint64_t livelinessLosses = 0;
   std::uint64_t failovers = 0;
   bool lossRetained = false;
@@ -80,6 +82,7 @@ ObsCityRun runObsCity(unsigned shards, unsigned workers) {
   const obs::TraceSampler& sampler = *city.sampler;
   r.totalSpans = sampler.totalSpans();
   r.retainedSpans = sampler.retainedSpanCount();
+  r.retainedCap = city.config().samplerConfig.maxRetainedSpans;
   r.traceJson = obs::chromeTraceJson(sampler);
   for (const obs::SampledTrace* t : sampler.retained()) {
     if (!t->complete) continue;
@@ -116,12 +119,14 @@ ObsCityRun runObsCity(unsigned shards, unsigned workers) {
   return r;
 }
 
-/// The serial kernel first, then 8 shards at 1, 2 and 4 workers.
+/// The serial kernel first, then 8 shards at 1, 2, 4 and 8 workers.
 const std::vector<ObsCityRun>& runs() {
   static const std::vector<ObsCityRun> all = [] {
     std::vector<ObsCityRun> v;
     v.push_back(runObsCity(0, 1));
-    for (unsigned workers : {1u, 2u, 4u}) v.push_back(runObsCity(8, workers));
+    for (unsigned workers : {1u, 2u, 4u, 8u}) {
+      v.push_back(runObsCity(8, workers));
+    }
     return v;
   }();
   return all;
@@ -143,6 +148,7 @@ TEST(ObsCity, RetentionCutsSpansByAtLeastNinetyPercent) {
     ASSERT_GT(r.totalSpans, 0u);
     EXPECT_LE(r.retainedSpans * 10, r.totalSpans)
         << r.retainedSpans << " of " << r.totalSpans << " spans retained";
+    EXPECT_LE(r.retainedSpans, r.retainedCap);
   }
 }
 

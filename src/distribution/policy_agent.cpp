@@ -1,7 +1,8 @@
 #include "distribution/policy_agent.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "sim/text.hpp"
 
 namespace softqos::distribution {
 
@@ -332,14 +333,11 @@ void PolicyAgent::bindRpc(net::Network& network, osim::Host& seat, int port) {
   rpc_ = std::make_unique<net::RpcEndpoint>(network, seat, port);
   rpc_->setHandler("renegotiate", [this](const std::string& body,
                                          net::RpcEndpoint::Responder respond) {
-    std::uint32_t pid = 0;
-    const auto at = body.find("pid=");
-    if (at != std::string::npos) {
-      pid = static_cast<std::uint32_t>(
-          std::strtoul(body.c_str() + at + 4, nullptr, 10));
-    }
-    const bool down = body.find("dir=down") != std::string::npos;
-    const bool up = body.find("dir=up") != std::string::npos;
+    const sim::FieldReader fields(body);
+    const std::uint32_t pid = fields.number<std::uint32_t>("pid").value_or(0);
+    const auto dir = fields.get("dir");
+    const bool down = dir == "down";
+    const bool up = dir == "up";
     if (pid == 0 || (!down && !up)) {
       respond("ERR:bad-request");
       return;
@@ -408,7 +406,7 @@ void PolicyAgent::handleProbeReply(std::uint32_t pid, bool ok,
                                    const std::string& body) {
   const auto it = sessions_.find(pid);
   if (it == sessions_.end() || !it->second.alive) return;
-  const bool alive = ok && body.find("alive=1") != std::string::npos;
+  const bool alive = ok && sim::FieldReader(body).get("alive") == "1";
   if (alive) {
     it->second.missedProbes = 0;
     return;

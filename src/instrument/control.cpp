@@ -1,6 +1,5 @@
 #include "instrument/control.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/text.hpp"
@@ -36,9 +35,9 @@ std::string ControlCommand::serialize() const {
 }
 
 bool ControlCommand::parse(const std::string& text, ControlCommand& out) {
-  const auto parts = sim::splitString(text, '|');
+  const auto parts = sim::split(text, '|');
   if (parts.size() < 2 || parts[0] != "CTL") return false;
-  const std::string& verb = parts[1];
+  const std::string_view verb = parts[1];
   if (verb == "adapt" && parts.size() >= 3) {
     out.kind = Kind::kAdapt;
     out.target = parts[2];
@@ -46,21 +45,27 @@ bool ControlCommand::parse(const std::string& text, ControlCommand& out) {
     return true;
   }
   if (verb == "set-threshold" && parts.size() == 4) {
+    const auto id = sim::parseNumber<int>(parts[2]);
+    const auto value = sim::parseNumber<double>(parts[3]);
+    if (!id || !value) return false;
     out.kind = Kind::kSetThreshold;
-    out.comparisonId = std::atoi(parts[2].c_str());
-    out.value = std::strtod(parts[3].c_str(), nullptr);
+    out.comparisonId = *id;
+    out.value = *value;
     return true;
   }
   if (verb == "enable-sensor" && parts.size() == 4) {
+    if (parts[3] != "0" && parts[3] != "1") return false;
     out.kind = Kind::kEnableSensor;
     out.target = parts[2];
-    out.enable = parts[3] != "0";
+    out.enable = parts[3] == "1";
     return true;
   }
   if (verb == "set-tick" && parts.size() == 4) {
+    const auto tick = sim::parseNumber<std::int64_t>(parts[3]);
+    if (!tick) return false;
     out.kind = Kind::kSetTick;
     out.target = parts[2];
-    out.tickMicros = std::atoll(parts[3].c_str());
+    out.tickMicros = *tick;
     return true;
   }
   if (verb == "remove-policy" && parts.size() == 3) {

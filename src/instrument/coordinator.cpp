@@ -1,7 +1,8 @@
 #include "instrument/coordinator.hpp"
 
-#include <cstdlib>
 #include <utility>
+
+#include "sim/text.hpp"
 
 namespace softqos::instrument {
 
@@ -339,7 +340,8 @@ void Coordinator::executeDoList(PolicyObject& po, ViolationReport& report,
         const std::string text = sensor->read();
         const std::string name =
             action.arguments.empty() ? sensor->attribute() : action.arguments[0];
-        report.metrics.emplace_back(name, std::strtod(text.c_str(), nullptr));
+        report.metrics.emplace_back(
+            name, sim::parseNumber<double>(text).value_or(0.0));
         break;
       }
       case policy::PolicyAction::Kind::kNotifyHostManager:

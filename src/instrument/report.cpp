@@ -1,6 +1,5 @@
 #include "instrument/report.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/text.hpp"
@@ -27,29 +26,26 @@ std::string ViolationReport::serialize() const {
 }
 
 std::optional<ViolationReport> ViolationReport::parse(const std::string& text) {
-  const auto parts = sim::splitString(text, '|', 9);
+  const auto parts = sim::split(text, '|', 9);
   if ((parts.size() != 8 && parts.size() != 9) || parts[0] != "QOSRPT") {
     return std::nullopt;
   }
+  const auto pid = sim::parseNumber<std::uint32_t>(parts[2]);
+  if (!pid || (parts[6] != "V" && parts[6] != "C")) return std::nullopt;
   ViolationReport r;
   r.policyId = parts[1];
-  r.pid = static_cast<std::uint32_t>(std::strtoul(parts[2].c_str(), nullptr, 10));
+  r.pid = *pid;
   r.hostName = parts[3];
   r.executable = parts[4];
   r.userRole = parts[5];
-  if (parts[6] == "V") {
-    r.violated = true;
-  } else if (parts[6] == "C") {
-    r.violated = false;
-  } else {
-    return std::nullopt;
-  }
+  r.violated = parts[6] == "V";
   if (!parts[7].empty()) {
-    for (const std::string& kv : sim::splitString(parts[7], ';')) {
+    for (const std::string_view kv : sim::split(parts[7], ';')) {
       const std::size_t eq = kv.find('=');
-      if (eq == std::string::npos) return std::nullopt;
-      r.metrics.emplace_back(kv.substr(0, eq),
-                             std::strtod(kv.c_str() + eq + 1, nullptr));
+      if (eq == std::string_view::npos) return std::nullopt;
+      const auto value = sim::parseNumber<double>(kv.substr(eq + 1));
+      if (!value) return std::nullopt;
+      r.metrics.emplace_back(kv.substr(0, eq), *value);
     }
   }
   if (parts.size() == 9) r.context = sim::TraceContext::parse(parts[8]);

@@ -1,7 +1,9 @@
 #include "instrument/sensor.hpp"
 
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+
+#include "sim/text.hpp"
 
 namespace softqos::instrument {
 
@@ -25,8 +27,9 @@ void Sensor::setEnabled(bool enabled) {
 void Sensor::init(const std::string& thresholdText,
                   const std::string& comparatorText, int comparisonId) {
   // The sensor is responsible for the string->type conversion (Section 5.2).
-  const double value = std::strtod(thresholdText.c_str(), nullptr);
-  installComparison(policy::parsePolicyCmp(comparatorText), value, comparisonId);
+  const auto value = sim::parseNumber<double>(thresholdText);
+  if (!value) throw std::invalid_argument("bad sensor threshold: " + thresholdText);
+  installComparison(policy::parsePolicyCmp(comparatorText), *value, comparisonId);
 }
 
 void Sensor::installComparison(policy::PolicyCmp op, double value,

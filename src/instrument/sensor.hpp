@@ -40,7 +40,9 @@ class Sensor {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Character-form installation (Section 5.2): threshold string + comparator
-  /// string + the coordinator's internal comparison id.
+  /// string + the coordinator's internal comparison id. Throws
+  /// std::invalid_argument on a threshold that is not a strict number or an
+  /// unknown comparator.
   void init(const std::string& thresholdText, const std::string& comparatorText,
             int comparisonId);
 

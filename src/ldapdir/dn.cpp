@@ -4,6 +4,8 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "sim/text.hpp"
+
 namespace softqos::ldapdir {
 
 std::string toLowerAscii(std::string s) {
@@ -22,14 +24,6 @@ bool equalsIgnoreCaseAscii(std::string_view a, std::string_view b) {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::string escapeValue(const std::string& v) {
   std::string out;
   for (const char c : v) {
@@ -47,7 +41,7 @@ bool Rdn::operator==(const Rdn& other) const {
 
 Dn Dn::parse(const std::string& text) {
   Dn dn;
-  if (trim(text).empty()) return dn;
+  if (sim::trim(text).empty()) return dn;
 
   // Split on unescaped commas.
   std::vector<std::string> parts;
@@ -68,16 +62,18 @@ Dn Dn::parse(const std::string& text) {
   parts.push_back(current);
 
   for (const std::string& raw : parts) {
-    const std::string component = trim(raw);
+    const std::string_view component = sim::trim(raw);
     const std::size_t eq = component.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("malformed DN component: '" + component + "'");
+    if (eq == std::string_view::npos || eq == 0) {
+      throw std::invalid_argument("malformed DN component: '" +
+                                  std::string(component) + "'");
     }
     Rdn rdn;
-    rdn.attr = toLowerAscii(trim(component.substr(0, eq)));
-    rdn.value = trim(component.substr(eq + 1));
+    rdn.attr = toLowerAscii(std::string(sim::trim(component.substr(0, eq))));
+    rdn.value = sim::trim(component.substr(eq + 1));
     if (rdn.value.empty()) {
-      throw std::invalid_argument("empty RDN value in: '" + component + "'");
+      throw std::invalid_argument("empty RDN value in: '" +
+                                  std::string(component) + "'");
     }
     dn.rdns_.push_back(std::move(rdn));
   }
@@ -119,7 +115,7 @@ std::string Dn::toString() const {
   std::string out;
   for (std::size_t i = 0; i < rdns_.size(); ++i) {
     if (i != 0) out += ",";
-    out += rdns_[i].attr + "=" + escapeValue(rdns_[i].value);
+    out += escapeValue(rdns_[i].attr) + "=" + escapeValue(rdns_[i].value);
   }
   return out;
 }

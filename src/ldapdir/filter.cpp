@@ -1,24 +1,15 @@
 #include "ldapdir/filter.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <optional>
+
+#include "sim/text.hpp"
 
 namespace softqos::ldapdir {
 
 namespace {
 
 enum class CmpKind { kEquals, kGreaterEq, kLessEq, kPresent, kSubstring };
-
-/// Numeric interpretation when both sides parse as numbers; otherwise
-/// case-insensitive string comparison.
-std::optional<double> asNumber(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
 
 bool substringMatch(const std::string& value,
                     const std::vector<std::string>& parts, bool anchoredStart,
@@ -56,6 +47,7 @@ struct Filter::Node {
   std::string attr;
   CmpKind cmp = CmpKind::kEquals;
   std::string value;                    // raw (original case)
+  std::optional<double> number;         // value as a number (=, >=, <=)
   std::vector<std::string> subParts;    // substring chunks, lower-cased
   bool subAnchoredStart = false;
   bool subAnchoredEnd = false;
@@ -83,12 +75,13 @@ struct Filter::Node {
     if (vals == nullptr) return false;
     if (cmp == CmpKind::kPresent) return true;
     for (const std::string& v : *vals) {
+      // Numeric comparison when both sides are strict numbers; otherwise
+      // case-insensitive string comparison.
+      const auto a = number ? sim::parseNumber<double>(v) : std::nullopt;
       switch (cmp) {
         case CmpKind::kEquals: {
-          const auto a = asNumber(v);
-          const auto b = asNumber(value);
-          if (a && b) {
-            if (*a == *b) return true;
+          if (a) {
+            if (*a == *number) return true;
           } else if (equalsIgnoreCaseAscii(v, value)) {
             return true;
           }
@@ -96,11 +89,9 @@ struct Filter::Node {
         }
         case CmpKind::kGreaterEq:
         case CmpKind::kLessEq: {
-          const auto a = asNumber(v);
-          const auto b = asNumber(value);
           bool ok = false;
-          if (a && b) {
-            ok = cmp == CmpKind::kGreaterEq ? *a >= *b : *a <= *b;
+          if (a) {
+            ok = cmp == CmpKind::kGreaterEq ? *a >= *number : *a <= *number;
           } else {
             const int c = toLowerAscii(v).compare(toLowerAscii(value));
             ok = cmp == CmpKind::kGreaterEq ? c >= 0 : c <= 0;
@@ -231,6 +222,7 @@ class FilterParser {
     }
     expect(')');
     node->value = value;
+    node->number = sim::parseNumber<double>(value);
     if (node->cmp == CmpKind::kEquals) {
       if (value == "*") {
         node->cmp = CmpKind::kPresent;
@@ -238,16 +230,9 @@ class FilterParser {
         node->cmp = CmpKind::kSubstring;
         node->subAnchoredStart = !value.empty() && value.front() != '*';
         node->subAnchoredEnd = !value.empty() && value.back() != '*';
-        std::string chunk;
-        for (const char vc : value) {
-          if (vc == '*') {
-            node->subParts.push_back(toLowerAscii(chunk));
-            chunk.clear();
-          } else {
-            chunk.push_back(vc);
-          }
+        for (const std::string_view chunk : sim::split(value, '*')) {
+          node->subParts.push_back(toLowerAscii(std::string(chunk)));
         }
-        node->subParts.push_back(toLowerAscii(chunk));
       }
     }
     return node;

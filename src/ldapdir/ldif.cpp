@@ -1,28 +1,22 @@
 #include "ldapdir/ldif.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <stdexcept>
+
+#include "sim/text.hpp"
 
 namespace softqos::ldapdir {
 
 namespace {
 
-std::string trimRight(std::string s) {
-  while (!s.empty() && (s.back() == '\r' || s.back() == ' ' || s.back() == '\t')) {
-    s.pop_back();
-  }
-  return s;
-}
-
 /// Split LDIF into records (blank-line separated), folding continuation
-/// lines (leading space) and dropping '#' comments.
+/// lines (leading space) and dropping '#' comments. Trailing whitespace,
+/// a CRLF file's '\r' included, is not part of a line.
 std::vector<std::vector<std::string>> recordLines(const std::string& text) {
   std::vector<std::vector<std::string>> records;
   std::vector<std::string> current;
-  std::istringstream in(text);
-  std::string raw;
-  while (std::getline(in, raw)) {
-    std::string line = trimRight(raw);
+  for (const std::string_view raw : sim::split(text, '\n')) {
+    const std::string_view line = sim::trimEnd(raw);
     if (!line.empty() && line[0] == '#') continue;
     if (line.empty()) {
       if (!current.empty()) {
@@ -35,7 +29,7 @@ std::vector<std::vector<std::string>> recordLines(const std::string& text) {
       current.back() += line.substr(1);  // folded continuation
       continue;
     }
-    current.push_back(std::move(line));
+    current.emplace_back(line);
   }
   if (!current.empty()) records.push_back(std::move(current));
   return records;
@@ -46,10 +40,8 @@ std::pair<std::string, std::string> splitAttrLine(const std::string& line) {
   if (colon == std::string::npos) {
     throw LdifParseError("malformed LDIF line: " + line);
   }
-  std::string attr = line.substr(0, colon);
-  std::size_t valueStart = colon + 1;
-  while (valueStart < line.size() && line[valueStart] == ' ') ++valueStart;
-  return {std::move(attr), line.substr(valueStart)};
+  return {line.substr(0, colon),
+          std::string(sim::trim(std::string_view(line).substr(colon + 1)))};
 }
 
 LdifRecord parseRecord(const std::vector<std::string>& lines) {
@@ -58,7 +50,11 @@ LdifRecord parseRecord(const std::vector<std::string>& lines) {
     throw LdifParseError("record must start with dn:, got: " + lines.at(0));
   }
   LdifRecord record;
-  record.entry.setDn(Dn::parse(dnValue));
+  try {
+    record.entry.setDn(Dn::parse(dnValue));
+  } catch (const std::invalid_argument& e) {
+    throw LdifParseError(std::string("bad dn: ") + e.what());
+  }
 
   std::size_t i = 1;
   LdifRecord::Change change = LdifRecord::Change::kAdd;

@@ -1,12 +1,11 @@
 #include "manager/domain_manager.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "manager/default_rules.hpp"
 #include "net/nic.hpp"
 #include "rules/parser.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::manager {
 
@@ -45,23 +44,15 @@ QoSDomainManager::QoSDomainManager(sim::Simulation& simulation,
     // protocol), "FWD<n>|report" (n hops across the management tree).
     int hops = 0;
     std::string payload = body;
-    if (payload.rfind("FWD", 0) == 0) {
-      const std::size_t bar = payload.find('|');
-      if (bar == std::string::npos) {
+    if (body.starts_with("FWD")) {
+      const auto frame = sim::split(body, '|', 2);
+      const std::string_view count = frame[0].substr(3);
+      hops = count.empty() ? 1 : sim::parseNumber<int>(count).value_or(0);
+      if (frame.size() != 2 || hops < 1) {
         respond("ERR:bad-report");
         return;
       }
-      const std::string count = payload.substr(3, bar - 3);
-      if (count.empty()) {
-        hops = 1;
-      } else {
-        hops = std::atoi(count.c_str());
-        if (hops < 1) {
-          respond("ERR:bad-report");
-          return;
-        }
-      }
-      payload = payload.substr(bar + 1);
+      payload = frame[1];
     }
     const auto report = instrument::ViolationReport::parse(payload);
     if (!report.has_value()) {
@@ -194,11 +185,8 @@ void QoSDomainManager::revalidateServicesOn(const std::string& hostName) {
                "pid=" + std::to_string(pid),
                [this, hostName, pid](bool ok, const std::string& body) {
                  if (!ok) return;  // still unreachable; next recovery retries
-                 int aliveInt = 0;
-                 double load = 0.0;
-                 std::sscanf(body.c_str(), "load=%lf;alive=%d", &load,
-                             &aliveInt);
-                 if (aliveInt != 0) return;
+                 const sim::FieldReader fields(body);
+                 if (fields.number<int>("alive").value_or(0) != 0) return;
                  ++recoveryRestarts_;
                  ++restarts_;
                  sim_.info(traceName_, [&] {
@@ -503,15 +491,11 @@ void QoSDomainManager::handleEscalation(
       "pid=" + std::to_string(binding.serverPid),
       [this, eid, report, binding, locSpan](bool ok, const std::string& body) {
         if (crashed_) return;  // daemon died while the query was in flight
-        bool alive = false;
-        double load = 0.0;
-        double slowdown = 100.0;
-        if (ok) {
-          int aliveInt = 0;
-          std::sscanf(body.c_str(), "load=%lf;alive=%d;slowdown=%lf", &load,
-                      &aliveInt, &slowdown);
-          alive = aliveInt != 0;
-        }
+        const sim::FieldReader fields(ok ? body : std::string_view{});
+        const bool alive = fields.number<int>("alive").value_or(0) != 0;
+        const double load = fields.number<double>("load").value_or(0.0);
+        const double slowdown =
+            fields.number<double>("slowdown").value_or(100.0);
         // An unreachable host manager is indistinguishable from a dead one;
         // treat it as a process/host failure.
         runDiagnosis(eid, report, binding, alive, load, slowdown, locSpan);

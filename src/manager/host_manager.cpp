@@ -441,11 +441,8 @@ void QoSHostManager::setupRpcHandlers() {
   // Domain-manager query: CPU load, process liveness, memory slowdown.
   rpc_->setHandler("host-stats", [this](const std::string& body,
                                         net::RpcEndpoint::Responder respond) {
-    osim::Pid pid = 0;
-    const auto eq = body.find("pid=");
-    if (eq != std::string::npos) {
-      pid = static_cast<osim::Pid>(std::strtoul(body.c_str() + eq + 4, nullptr, 10));
-    }
+    const osim::Pid pid =
+        sim::FieldReader(body).number<osim::Pid>("pid").value_or(0);
     const osim::Process* p = host_.find(pid);
     const bool alive = p != nullptr && !p->terminated();
     std::ostringstream out;
@@ -458,9 +455,9 @@ void QoSHostManager::setupRpcHandlers() {
   // Domain-manager corrective action: raise the server process priority.
   rpc_->setHandler("boost", [this](const std::string& body,
                                    net::RpcEndpoint::Responder respond) {
-    osim::Pid pid = 0;
-    int delta = 0;
-    std::sscanf(body.c_str(), "pid=%u;delta=%d", &pid, &delta);
+    const sim::FieldReader fields(body);
+    const osim::Pid pid = fields.number<osim::Pid>("pid").value_or(0);
+    const int delta = fields.number<int>("delta").value_or(0);
     const bool ok = cpuManager_.adjustTsPriority(pid, delta);
     if (ok) ++boosts_;
     respond(ok ? "OK" : "ERR:no-such-pid");
@@ -469,8 +466,8 @@ void QoSHostManager::setupRpcHandlers() {
   // Domain-manager corrective action: restart a failed process.
   rpc_->setHandler("restart", [this](const std::string& body,
                                      net::RpcEndpoint::Responder respond) {
-    osim::Pid pid = 0;
-    std::sscanf(body.c_str(), "pid=%u", &pid);
+    const osim::Pid pid =
+        sim::FieldReader(body).number<osim::Pid>("pid").value_or(0);
     if (!restartHandler_) {
       respond("ERR:no-restart-handler");
       return;
@@ -511,20 +508,15 @@ void QoSHostManager::setupRpcHandlers() {
 
 bool QoSHostManager::handleContractEvent(const std::string& body) {
   if (crashed_) return false;
-  std::string kind, contract, detail;
-  std::uint32_t pid = 0;
-  for (const std::string& part : sim::splitString(body, ';', 4)) {
-    const auto eq = part.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    if (key == "kind") kind = value;
-    else if (key == "pid") pid = static_cast<std::uint32_t>(
-        std::strtoul(value.c_str(), nullptr, 10));
-    else if (key == "contract") contract = value;
-    else if (key == "detail") detail = value;
-  }
-  if (kind.empty()) return false;
+  // The detail is the body's last field: it carries an admission reason,
+  // whose mismatches are joined with "; ".
+  const sim::FieldReader fields(body, "detail");
+  const std::string kind(fields.get("kind").value_or(""));
+  const auto pidField = fields.number<std::uint32_t>("pid");
+  const std::string contract(fields.get("contract").value_or(""));
+  const std::string detail(fields.get("detail").value_or(""));
+  if (kind.empty() || !pidField) return false;
+  const std::uint32_t pid = *pidField;
   ++contractEvents_;
   sim_.info(traceName_, [&] {
     return "contract event " + kind + " pid " + std::to_string(pid) + " (" +

@@ -1,7 +1,6 @@
 #include "net/rpc.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -155,20 +154,19 @@ void RpcEndpoint::onMessage(osim::Message m) {
   // Traced requests ("QT") carry one extra leading field: the caller's span
   // context. Untraced frames keep the seed layout byte-for-byte.
   const bool traced = m.payload.rfind("QT|", 0) == 0;
-  const auto parts = sim::splitString(m.payload, '|', traced ? 7 : 6);
-  if (parts.empty()) return;
+  const auto parts = sim::split(m.payload, '|', traced ? 7 : 6);
   if ((parts[0] == "Q" && parts.size() == 6) ||
       (parts[0] == "QT" && parts.size() == 7)) {
     const std::size_t off = traced ? 1 : 0;
-    const auto replyPort = sim::parseU64(parts[3 + off]);
-    if (!replyPort.has_value()) return;  // malformed frame
+    const auto replyPort = sim::parseNumber<int>(parts[3 + off]);
+    if (!replyPort || *replyPort < 0) return;  // malformed frame
     sim::TraceContext callerCtx;
     if (traced) callerCtx = sim::TraceContext::parse(parts[1]);
-    const std::string id = parts[1 + off];
-    const std::string replyHost = parts[2 + off];
-    const int port = static_cast<int>(*replyPort);
-    const std::string& method = parts[4 + off];
-    const std::string& body = parts[5 + off];
+    const std::string id(parts[1 + off]);
+    const std::string replyHost(parts[2 + off]);
+    const int port = *replyPort;
+    const std::string method(parts[4 + off]);
+    const std::string body(parts[5 + off]);
 
     // At-most-once execution under caller retries: a duplicate of a request
     // we already ran replays the cached response (or stays silent while the
@@ -235,20 +233,20 @@ void RpcEndpoint::onMessage(osim::Message m) {
     // One-way notification: N|<method>|<body>. Run the handler with a
     // discarding responder; unknown methods are silently ignored (there is
     // nobody to tell).
-    const auto note = sim::splitString(m.payload, '|', 3);
+    const auto note = sim::split(m.payload, '|', 3);
     if (note.size() < 3) return;
     const auto it = handlers_.find(note[1]);
     if (it == handlers_.end()) return;
     ++handled_;
     ++notifications_;
-    it->second(note[2], [](std::string) {});
+    it->second(std::string(note[2]), [](std::string) {});
     return;
   }
   if (parts[0] == "S") {
     // Frame: S|<id>|<body> — body may itself contain '|'.
-    const auto resp = sim::splitString(m.payload, '|', 3);
+    const auto resp = sim::split(m.payload, '|', 3);
     if (resp.size() < 3) return;
-    const auto id = sim::parseU64(resp[1]);
+    const auto id = sim::parseNumber<std::uint64_t>(resp[1]);
     if (!id.has_value()) return;  // malformed frame
     const auto it = pending_.find(*id);
     if (it == pending_.end()) {
@@ -271,7 +269,7 @@ void RpcEndpoint::onMessage(osim::Message m) {
         o->endSpan(network_.sim().now(), span);
       }
     }
-    if (cont) cont(true, resp[2]);
+    if (cont) cont(true, std::string(resp[2]));
   }
 }
 

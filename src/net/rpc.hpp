@@ -142,7 +142,7 @@ class RpcEndpoint {
   std::string hostName_;
   int port_;
   std::shared_ptr<osim::Socket> socket_;
-  std::map<std::string, Handler> handlers_;
+  std::map<std::string, Handler, std::less<>> handlers_;
   std::map<std::uint64_t, PendingCall> pending_;
   std::map<std::string, ExecutedRequest> executed_;
   std::deque<std::string> executedOrder_;  // FIFO eviction of executed_

@@ -9,9 +9,8 @@
 #include "obs/span_tree.hpp"
 
 namespace softqos::obs {
-namespace {
 
-void appendEscaped(std::string& out, std::string_view text) {
+void appendJsonEscaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -30,6 +29,8 @@ void appendEscaped(std::string& out, std::string_view text) {
     }
   }
 }
+
+namespace {
 
 void appendDouble(std::string& out, double value) {
   char buf[32];
@@ -108,7 +109,7 @@ void appendMetricsBody(std::string& out, const sim::MetricRegistry& metrics) {
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":";
     out += std::to_string(value);
   }
@@ -119,7 +120,7 @@ void appendMetricsBody(std::string& out, const sim::MetricRegistry& metrics) {
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":{\"count\":";
     out += std::to_string(s.count());
     out += ",\"mean\":";
@@ -138,7 +139,7 @@ void appendMetricsBody(std::string& out, const sim::MetricRegistry& metrics) {
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":";
     appendHistogramJson(out, h);
   }
@@ -179,9 +180,9 @@ std::string chromeTraceJson(const TraceSampler& sampler) {
       if (!first) out += ",";
       first = false;
       out += "\n{\"name\":\"";
-      appendEscaped(out, s.name);
+      appendJsonEscaped(out, s.name);
       out += "\",\"cat\":\"";
-      appendEscaped(out, s.component);
+      appendJsonEscaped(out, s.component);
       out += "\",\"ph\":\"X\",\"ts\":";
       out += std::to_string(s.start);
       out += ",\"dur\":";
@@ -198,16 +199,16 @@ std::string chromeTraceJson(const TraceSampler& sampler) {
       out += "\"";
       if (s.parentSpanId == 0) {
         out += ",\"retain_reason\":\"";
-        appendEscaped(out, t->reason);
+        appendJsonEscaped(out, t->reason);
         out += "\",\"complete\":\"";
         out += t->complete ? "1" : "0";
         out += "\"";
       }
       for (const auto& [key, value] : s.annotations) {
         out += ",\"";
-        appendEscaped(out, key);
+        appendJsonEscaped(out, key);
         out += "\":\"";
-        appendEscaped(out, value);
+        appendJsonEscaped(out, value);
         out += "\"";
       }
       out += "}}";
@@ -314,7 +315,7 @@ std::string attributionJson(const CriticalPathAnalyzer& analyzer,
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, label);
+    appendJsonEscaped(out, label);
     out += "\":";
     appendHistogramJson(out, it->second);
   }
@@ -325,7 +326,7 @@ std::string attributionJson(const CriticalPathAnalyzer& analyzer,
     if (!first) out += ",";
     first = false;
     out += "\n{\"component\":\"";
-    appendEscaped(out, blame.component);
+    appendJsonEscaped(out, blame.component);
     out += "\",\"self_us\":";
     out += std::to_string(blame.selfUs);
     out += ",\"wait_us\":";
@@ -341,7 +342,7 @@ std::string attributionJson(const CriticalPathAnalyzer& analyzer,
     if (!first) out += ",";
     first = false;
     out += "\n{\"rule\":\"";
-    appendEscaped(out, blame.rule);
+    appendJsonEscaped(out, blame.rule);
     out += "\",\"self_us\":";
     out += std::to_string(blame.selfUs);
     out += ",\"segments\":";
@@ -357,9 +358,9 @@ std::string attributionJson(const CriticalPathAnalyzer& analyzer,
     out += "\n{\"trace\":\"";
     out += std::to_string(ep.traceId);
     out += "\",\"root\":\"";
-    appendEscaped(out, ep.rootName);
+    appendJsonEscaped(out, ep.rootName);
     out += "\",\"component\":\"";
-    appendEscaped(out, ep.rootComponent);
+    appendJsonEscaped(out, ep.rootComponent);
     out += "\",\"start\":";
     out += std::to_string(ep.rootStart);
     out += ",\"duration_us\":";
@@ -370,11 +371,11 @@ std::string attributionJson(const CriticalPathAnalyzer& analyzer,
       if (!firstSeg) out += ",";
       firstSeg = false;
       out += "{\"segment\":\"";
-      appendEscaped(out, seg.segment);
+      appendJsonEscaped(out, seg.segment);
       out += "\",\"span\":\"";
-      appendEscaped(out, seg.spanName);
+      appendJsonEscaped(out, seg.spanName);
       out += "\",\"component\":\"";
-      appendEscaped(out, seg.component);
+      appendJsonEscaped(out, seg.component);
       out += "\",\"start\":";
       out += std::to_string(seg.start);
       out += ",\"end\":";
@@ -419,9 +420,9 @@ std::string latencyBudgetJson(const CriticalPathAnalyzer& analyzer,
     if (!first) out += ",";
     first = false;
     out += "\n{\"name\":\"";
-    appendEscaped(out, target.name);
+    appendJsonEscaped(out, target.name);
     out += "\",\"tier\":\"";
-    appendEscaped(out, target.tier);
+    appendJsonEscaped(out, target.tier);
     out += "\",\"budget_us\":";
     appendDouble(out, target.budgetUs);
     out += ",\"over_budget_fraction\":";
@@ -436,7 +437,7 @@ std::string latencyBudgetJson(const CriticalPathAnalyzer& analyzer,
       if (!firstSeg) out += ",";
       firstSeg = false;
       out += "{\"segment\":\"";
-      appendEscaped(out, label);
+      appendJsonEscaped(out, label);
       out += "\",\"mean_us\":";
       appendDouble(out, it->second.mean());
       out += ",\"p99_us\":";
@@ -465,7 +466,7 @@ std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,
     if (!first) out += ",";
     first = false;
     out += "\"";
-    appendEscaped(out, source);
+    appendJsonEscaped(out, source);
     out += "\"";
   }
   out += "],\n\"counters\":{";
@@ -474,7 +475,7 @@ std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":";
     out += std::to_string(total);
   }
@@ -484,7 +485,7 @@ std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":";
     appendHistogramJson(out, h, sampler);
   }
@@ -495,7 +496,7 @@ std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, source);
+    appendJsonEscaped(out, source);
     out += "\":{\"window\":[";
     out += std::to_string(snapshot.windowStart);
     out += ",";
@@ -506,7 +507,7 @@ std::string domainMetricsJson(const sim::TelemetryAggregator& telemetry,
       if (!firstCounter) out += ",";
       firstCounter = false;
       out += "\"";
-      appendEscaped(out, name);
+      appendJsonEscaped(out, name);
       out += "\":";
       out += std::to_string(delta);
     }
@@ -538,7 +539,7 @@ std::string flightRecorderJson(const FlightRecorder& recorder) {
     if (!first) out += ",";
     first = false;
     out += "\n\"";
-    appendEscaped(out, contract);
+    appendJsonEscaped(out, contract);
     out += "\":{\"decisions\":";
     out += std::to_string(decisions);
     out += ",\"rate\":{";
@@ -586,7 +587,7 @@ std::string flightRecorderJson(const FlightRecorder& recorder) {
     if (!first) out += ",";
     first = false;
     out += "\"";
-    appendEscaped(out, name);
+    appendJsonEscaped(out, name);
     out += "\":";
     out += std::to_string(value);
   }
@@ -598,13 +599,13 @@ std::string flightRecorderJson(const FlightRecorder& recorder) {
     out += "\n{\"when\":";
     out += std::to_string(rec.when);
     out += ",\"kind\":\"";
-    appendEscaped(out, rec.kind);
+    appendJsonEscaped(out, rec.kind);
     out += "\",\"pid\":";
     out += std::to_string(rec.pid);
     out += ",\"contract\":\"";
-    appendEscaped(out, rec.contract);
+    appendJsonEscaped(out, rec.contract);
     out += "\",\"detail\":\"";
-    appendEscaped(out, rec.detail);
+    appendJsonEscaped(out, rec.detail);
     out += "\"}";
   }
   out += "\n],\n\"dropped_log_records\":";

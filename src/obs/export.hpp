@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/critical_path.hpp"
@@ -97,5 +98,9 @@ struct BudgetTarget {
 /// ownership moves, Duration = per-tier residency histograms), global
 /// decision counters, and the bounded decision log.
 [[nodiscard]] std::string flightRecorderJson(const FlightRecorder& recorder);
+
+/// Append `text` to `out` as the inside of a JSON string: quotes,
+/// backslashes and control bytes escaped.
+void appendJsonEscaped(std::string& out, std::string_view text);
 
 }  // namespace softqos::obs

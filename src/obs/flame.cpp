@@ -1,32 +1,13 @@
 #include "obs/flame.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
+#include "obs/export.hpp"
 #include "obs/span_tree.hpp"
 
 namespace softqos::obs {
 namespace {
-
-void appendEscaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 [[nodiscard]] std::string frameName(const SampledSpan& span,
                                     const FlameConfig& config) {
@@ -152,11 +133,11 @@ std::string FlameGraph::speedscopeJson(std::string_view profileName) const {
   for (std::size_t i = 0; i < frameNames.size(); ++i) {
     if (i > 0) out += ", ";
     out += "{\"name\": \"";
-    appendEscaped(out, *frameNames[i]);
+    appendJsonEscaped(out, *frameNames[i]);
     out += "\"}";
   }
   out += "]},\n  \"profiles\": [{\n    \"type\": \"sampled\",\n    \"name\": \"";
-  appendEscaped(out, profileName);
+  appendJsonEscaped(out, profileName);
   out += "\",\n    \"unit\": \"microseconds\",\n    \"startValue\": 0,\n";
   out += "    \"endValue\": " + std::to_string(total_) + ",\n";
   out += "    \"samples\": [";

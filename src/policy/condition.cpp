@@ -27,15 +27,11 @@ PolicyCmp parsePolicyCmp(const std::string& token) {
   throw std::invalid_argument("unknown policy comparator: " + token);
 }
 
-namespace {
-
 std::string formatNumber(double v) {
   std::ostringstream out;
   out << v;  // default precision trims trailing zeros
   return out.str();
 }
-
-}  // namespace
 
 bool PrimitiveComparison::holds(double observed) const {
   switch (op) {

@@ -12,6 +12,10 @@ enum class PolicyCmp { kEq, kNe, kLt, kLe, kGt, kGe };
 std::string policyCmpName(PolicyCmp op);
 PolicyCmp parsePolicyCmp(const std::string& token);
 
+/// A number as policy text writes it: ostream's default precision, so
+/// trailing zeros go ("25", "2.5", "1e+06").
+std::string formatNumber(double v);
+
 /// Tolerance band around an equality target: 25(+2)(-2) accepts (23, 27).
 struct Tolerance {
   double above = 0.0;

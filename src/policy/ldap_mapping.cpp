@@ -1,7 +1,7 @@
 #include "policy/ldap_mapping.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include "policy/condition.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::policy {
 
@@ -67,15 +67,16 @@ std::vector<Entry> containerEntries() {
 
 namespace {
 
-std::string formatNumber(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-double numberOr(const Entry& entry, const std::string& attr, double fallback) {
+template <typename T>
+T numberOr(const Entry& entry, const std::string& attr, T fallback) {
   const auto v = entry.firstValue(attr);
-  return v.has_value() ? std::strtod(v->c_str(), nullptr) : fallback;
+  if (!v.has_value()) return fallback;
+  const auto number = sim::parseNumber<T>(*v);
+  if (!number) {
+    throw MappingError("entry " + entry.dn().toString() + " attribute " +
+                       attr + " is not a number: " + *v);
+  }
+  return *number;
 }
 
 std::string require(const Entry& entry, const std::string& attr) {
@@ -159,8 +160,7 @@ SensorInfo sensorFromEntry(const Entry& entry) {
 UserRole roleFromEntry(const Entry& entry) {
   UserRole role;
   role.name = require(entry, "cn");
-  role.priorityWeight =
-      static_cast<int>(numberOr(entry, "priorityweight", 1.0));
+  role.priorityWeight = numberOr(entry, "priorityweight", 1);
   return role;
 }
 

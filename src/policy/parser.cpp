@@ -1,25 +1,19 @@
 #include "policy/parser.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <sstream>
+#include <initializer_list>
+#include <string_view>
+
+#include "ldapdir/dn.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::policy {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string lowered(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
-}
+using ldapdir::equalsIgnoreCaseAscii;
+using sim::trim;
 
 // ---- Condition-expression lexer ----
 
@@ -83,7 +77,12 @@ class ExprLexer {
       }
       current_.kind = Token::Kind::kNumber;
       current_.text = text_.substr(start, pos_ - start);
-      current_.number = std::strtod(current_.text.c_str(), nullptr);
+      const auto number = sim::parseNumber<double>(current_.text);
+      if (!number) {
+        throw PolicyParseError("bad number '" + current_.text +
+                               "' in condition expression");
+      }
+      current_.number = *number;
       return;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
@@ -94,12 +93,11 @@ class ExprLexer {
         ++pos_;
       }
       const std::string word = text_.substr(start, pos_ - start);
-      const std::string lower = lowered(word);
-      if (lower == "and") {
+      if (equalsIgnoreCaseAscii(word, "and")) {
         current_.kind = Token::Kind::kAnd;
-      } else if (lower == "or") {
+      } else if (equalsIgnoreCaseAscii(word, "or")) {
         current_.kind = Token::Kind::kOr;
-      } else if (lower == "not") {
+      } else if (equalsIgnoreCaseAscii(word, "not")) {
         current_.kind = Token::Kind::kNot;
       } else {
         current_.kind = Token::Kind::kIdent;
@@ -171,7 +169,11 @@ class ConditionParser {
       throw PolicyParseError("expected comparator after attribute " +
                              cond.attribute);
     }
-    cond.op = parsePolicyCmp(lexer_.take().text);
+    try {
+      cond.op = parsePolicyCmp(lexer_.take().text);
+    } catch (const std::invalid_argument& e) {
+      throw PolicyParseError(e.what());
+    }
     if (lexer_.peek().kind != Token::Kind::kNumber) {
       throw PolicyParseError("expected numeric threshold for attribute " +
                              cond.attribute);
@@ -229,25 +231,27 @@ std::vector<std::string> splitTopLevel(const std::string& text, char delim) {
   return out;
 }
 
-PolicyAction parseAction(const std::string& raw) {
-  const std::string text = trim(raw);
+PolicyAction parseAction(std::string_view text) {
   const std::size_t arrow = text.find("->");
-  if (arrow == std::string::npos) {
-    throw PolicyParseError("action missing '->': " + text);
+  if (arrow == std::string_view::npos) {
+    throw PolicyParseError("action missing '->': " + std::string(text));
   }
   PolicyAction action;
   action.target = trim(text.substr(0, arrow));
   const std::size_t open = text.find('(', arrow + 2);
-  if (open == std::string::npos || text.back() != ')') {
-    throw PolicyParseError("action missing argument list: " + text);
+  if (open == std::string_view::npos || text.back() != ')') {
+    throw PolicyParseError("action missing argument list: " +
+                           std::string(text));
   }
   action.method = trim(text.substr(arrow + 2, open - arrow - 2));
-  const std::string argsText = text.substr(open + 1, text.size() - open - 2);
+  const std::string argsText(text.substr(open + 1, text.size() - open - 2));
   for (const std::string& part : splitTopLevel(argsText, ',')) {
-    std::string arg = trim(part);
+    std::string_view arg = trim(part);
     if (arg.empty()) continue;
-    if (lowered(arg).rfind("out ", 0) == 0) arg = trim(arg.substr(4));
-    action.arguments.push_back(arg);
+    if (equalsIgnoreCaseAscii(arg.substr(0, 4), "out ")) {
+      arg = trim(arg.substr(4));
+    }
+    action.arguments.emplace_back(arg);
   }
   if (action.method == "notify" ||
       action.target.find("QoSHostManager") != std::string::npos) {
@@ -261,25 +265,81 @@ PolicyAction parseAction(const std::string& raw) {
 }
 
 /// Executable name from a subject path ".../VideoApplication/qosl_coordinator".
-std::string executableFromSubject(const std::string& subject) {
-  const std::vector<std::string> parts = [&] {
-    std::vector<std::string> out;
-    std::string current;
-    for (const char c : subject) {
-      if (c == '/') {
-        out.push_back(current);
-        current.clear();
-      } else {
-        current.push_back(c);
-      }
-    }
-    out.push_back(current);
-    return out;
-  }();
+std::string executableFromSubject(std::string_view subject) {
+  const auto parts = sim::split(subject, '/');
   if (parts.size() >= 2 && parts.back() == "qosl_coordinator") {
-    return parts[parts.size() - 2];
+    return std::string(parts[parts.size() - 2]);
   }
   return "";
+}
+
+/// One `<keyword> <name> { ... }` block of policy text. A clause opens
+/// with one of the block's clause keywords at the start of a line; any
+/// other line continues the clause before it.
+struct Block {
+  std::string name;
+  std::vector<std::pair<std::string_view, std::string>> clauses;
+};
+
+/// Every `<keyword>` block in `text`, in order, for oblig and contract
+/// alike. Throws PolicyParseError on a block without a name or braces, on
+/// body text before the first clause, and when there is no block at all.
+std::vector<Block> scanBlocks(
+    const std::string& text, const std::string& keyword,
+    std::initializer_list<std::string_view> clauseKeywords) {
+  const auto isSpace = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<Block> out;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t kw = text.find(keyword, pos);
+    if (kw == std::string::npos) break;
+    const std::size_t after = kw + keyword.size();
+    // Must be a standalone word.
+    if ((kw > 0 && !isSpace(text[kw - 1])) || after >= text.size() ||
+        !isSpace(text[after])) {
+      pos = after;
+      continue;
+    }
+    const std::size_t open = text.find('{', kw);
+    if (open == std::string::npos) {
+      throw PolicyParseError(keyword + " missing '{'");
+    }
+    const std::size_t close = text.find('}', open);
+    if (close == std::string::npos) {
+      throw PolicyParseError(keyword + " missing '}'");
+    }
+    const std::string_view all(text);
+    Block block;
+    block.name = trim(all.substr(after, open - after));
+    if (block.name.empty()) throw PolicyParseError(keyword + " missing a name");
+    for (const std::string_view line :
+         sim::split(all.substr(open + 1, close - open - 1), '\n')) {
+      const std::string_view t = trim(line);
+      if (t.empty()) continue;
+      const auto clause =
+          std::find_if(clauseKeywords.begin(), clauseKeywords.end(),
+                       [&](std::string_view k) {
+                         return t.size() > k.size() &&
+                                t.substr(0, k.size()) == k &&
+                                isSpace(t[k.size()]);
+                       });
+      if (clause != clauseKeywords.end()) {
+        block.clauses.emplace_back(*clause, trim(t.substr(clause->size())));
+      } else if (!block.clauses.empty()) {
+        block.clauses.back().second += ' ';  // continuation line
+        block.clauses.back().second += t;
+      } else {
+        throw PolicyParseError("unexpected text in " + keyword +
+                               " body: " + std::string(t));
+      }
+    }
+    out.push_back(std::move(block));
+    pos = close + 1;
+  }
+  if (out.empty()) throw PolicyParseError("no " + keyword + " block found");
+  return out;
 }
 
 }  // namespace
@@ -311,84 +371,35 @@ PolicySpec parseObligation(const std::string& text) {
 
 std::vector<PolicySpec> parseObligations(const std::string& text) {
   std::vector<PolicySpec> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t kw = text.find("oblig", pos);
-    if (kw == std::string::npos) break;
-    // Must be a standalone word.
-    if ((kw > 0 && !std::isspace(static_cast<unsigned char>(text[kw - 1]))) ||
-        kw + 5 >= text.size() ||
-        !std::isspace(static_cast<unsigned char>(text[kw + 5]))) {
-      pos = kw + 5;
-      continue;
-    }
-    const std::size_t open = text.find('{', kw);
-    if (open == std::string::npos) {
-      throw PolicyParseError("oblig missing '{'");
-    }
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) {
-      throw PolicyParseError("oblig missing '}'");
-    }
+  for (Block& block :
+       scanBlocks(text, "oblig", {"subject", "target", "on", "do"})) {
     PolicySpec spec;
-    spec.name = trim(text.substr(kw + 5, open - kw - 5));
-    if (spec.name.empty()) throw PolicyParseError("oblig missing a name");
-
-    // Group the body into clauses: a clause starts with a keyword at the
-    // beginning of a line (subject/target/on/do).
-    const std::string body = text.substr(open + 1, close - open - 1);
-    std::vector<std::pair<std::string, std::string>> clauses;
-    std::istringstream lines(body);
-    std::string line;
-    while (std::getline(lines, line)) {
-      const std::string t = trim(line);
-      if (t.empty()) continue;
-      std::string keyword;
-      for (const char* kwName : {"subject", "target", "on", "do"}) {
-        const std::size_t len = std::string(kwName).size();
-        if (t.size() > len && t.compare(0, len, kwName) == 0 &&
-            std::isspace(static_cast<unsigned char>(t[len]))) {
-          keyword = kwName;
-          break;
-        }
-      }
-      if (!keyword.empty()) {
-        clauses.emplace_back(keyword, trim(t.substr(keyword.size())));
-      } else if (!clauses.empty()) {
-        clauses.back().second += " " + t;  // continuation line
-      } else {
-        throw PolicyParseError("unexpected text in oblig body: " + t);
-      }
-    }
-
+    spec.name = std::move(block.name);
     bool sawOn = false;
-    for (const auto& [keyword, value] : clauses) {
+    for (const auto& [keyword, value] : block.clauses) {
       if (keyword == "subject") {
         spec.subjectPath = value;
         spec.executable = executableFromSubject(value);
       } else if (keyword == "target") {
         for (const std::string& t : splitTopLevel(value, ',')) {
-          const std::string target = trim(t);
-          if (!target.empty()) spec.targets.push_back(target);
+          const std::string_view target = trim(t);
+          if (!target.empty()) spec.targets.emplace_back(target);
         }
       } else if (keyword == "on") {
         sawOn = true;
-        std::string exprText = value;
         // The clause is the negation of the requirement; strip the leading
         // "not" so `conditions` store the requirement itself.
-        const std::string low = lowered(trim(exprText));
-        if (low.rfind("not", 0) == 0 &&
-            (low.size() == 3 ||
-             !std::isalnum(static_cast<unsigned char>(low[3])))) {
-          exprText = trim(trim(exprText).substr(3));
-        } else {
+        const std::string_view expr = value;
+        if (!equalsIgnoreCaseAscii(expr.substr(0, 3), "not") ||
+            (expr.size() > 3 &&
+             std::isalnum(static_cast<unsigned char>(expr[3])))) {
           throw PolicyParseError(
               "on clause must negate the requirement: expected 'on not (...)'");
         }
-        parseConditionExpr(exprText, spec);
+        parseConditionExpr(std::string(trim(expr.substr(3))), spec);
       } else if (keyword == "do") {
         for (const std::string& part : splitTopLevel(value, ';')) {
-          const std::string actionText = trim(part);
+          const std::string_view actionText = trim(part);
           if (actionText.empty()) continue;
           spec.actions.push_back(parseAction(actionText));
         }
@@ -398,9 +409,7 @@ std::vector<PolicySpec> parseObligations(const std::string& text) {
       throw PolicyParseError("oblig " + spec.name + " missing 'on' clause");
     }
     out.push_back(std::move(spec));
-    pos = close + 1;
   }
-  if (out.empty()) throw PolicyParseError("no oblig block found");
   return out;
 }
 
@@ -415,53 +424,13 @@ ContractSpec parseContract(const std::string& text) {
 
 std::vector<ContractSpec> parseContracts(const std::string& text) {
   std::vector<ContractSpec> out;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t kw = text.find("contract", pos);
-    if (kw == std::string::npos) break;
-    if ((kw > 0 && !std::isspace(static_cast<unsigned char>(text[kw - 1]))) ||
-        kw + 8 >= text.size() ||
-        !std::isspace(static_cast<unsigned char>(text[kw + 8]))) {
-      pos = kw + 8;
-      continue;
-    }
-    const std::size_t open = text.find('{', kw);
-    if (open == std::string::npos) throw PolicyParseError("contract missing '{'");
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) throw PolicyParseError("contract missing '}'");
+  for (Block& block :
+       scanBlocks(text, "contract",
+                  {"executable", "application", "role", "offers", "requests",
+                   "deadline_attribute", "enabled"})) {
     ContractSpec spec;
-    spec.name = trim(text.substr(kw + 8, open - kw - 8));
-    if (spec.name.empty()) throw PolicyParseError("contract missing a name");
-
-    // Same clause shape as oblig: a keyword at the start of a line opens a
-    // clause, other lines continue the previous one.
-    const std::string body = text.substr(open + 1, close - open - 1);
-    std::vector<std::pair<std::string, std::string>> clauses;
-    std::istringstream lines(body);
-    std::string line;
-    while (std::getline(lines, line)) {
-      const std::string t = trim(line);
-      if (t.empty()) continue;
-      std::string keyword;
-      for (const char* kwName : {"executable", "application", "role", "offers",
-                                 "requests", "deadline_attribute", "enabled"}) {
-        const std::size_t len = std::string(kwName).size();
-        if (t.size() > len && t.compare(0, len, kwName) == 0 &&
-            std::isspace(static_cast<unsigned char>(t[len]))) {
-          keyword = kwName;
-          break;
-        }
-      }
-      if (!keyword.empty()) {
-        clauses.emplace_back(keyword, trim(t.substr(keyword.size())));
-      } else if (!clauses.empty()) {
-        clauses.back().second += " " + t;
-      } else {
-        throw PolicyParseError("unexpected text in contract body: " + t);
-      }
-    }
-
-    for (const auto& [keyword, value] : clauses) {
+    spec.name = std::move(block.name);
+    for (const auto& [keyword, value] : block.clauses) {
       try {
         if (keyword == "executable") {
           spec.executable = value;
@@ -478,7 +447,7 @@ std::vector<ContractSpec> parseContracts(const std::string& text) {
         } else if (keyword == "deadline_attribute") {
           spec.deadlineAttribute = value;
         } else if (keyword == "enabled") {
-          spec.enabled = lowered(value) != "false";
+          spec.enabled = !equalsIgnoreCaseAscii(value, "false");
         }
       } catch (const std::invalid_argument& e) {
         throw PolicyParseError("contract " + spec.name + ": " + e.what());
@@ -489,9 +458,7 @@ std::vector<ContractSpec> parseContracts(const std::string& text) {
                              " declares neither offers nor requests");
     }
     out.push_back(std::move(spec));
-    pos = close + 1;
   }
-  if (out.empty()) throw PolicyParseError("no contract block found");
   return out;
 }
 

@@ -1,38 +1,45 @@
 #include "policy/qos_contract.hpp"
 
-#include <cstdlib>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "policy/condition.hpp"
+#include "sim/text.hpp"
 
 namespace softqos::policy {
 
 namespace {
 
-std::string formatMs(double v) {
-  std::ostringstream out;
-  out << v << "ms";
-  return out.str();
-}
+std::string formatMs(double v) { return formatNumber(v) + "ms"; }
 
-/// "200ms" / "0.2s" / bare number (milliseconds) -> milliseconds.
-double parseMs(const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) {
-    throw std::invalid_argument("bad duration: " + text);
+/// "200ms" / "0.2s" / bare number (milliseconds) -> milliseconds. A
+/// duration is finite and not negative.
+double parseMs(std::string_view text) {
+  std::string_view number = text;
+  double scale = 1.0;
+  if (number.ends_with("ms")) {
+    number.remove_suffix(2);
+  } else if (number.ends_with('s')) {
+    number.remove_suffix(1);
+    scale = 1000.0;
   }
-  const std::string suffix(end);
-  if (suffix == "s") return v * 1000.0;
-  if (suffix.empty() || suffix == "ms") return v;
-  throw std::invalid_argument("bad duration suffix: " + text);
+  const auto v = sim::parseNumber<double>(number);
+  if (!v || !std::isfinite(*v * scale) || *v < 0) {
+    throw std::invalid_argument("bad duration: " + std::string(text));
+  }
+  return *v * scale;
 }
 
-std::vector<std::string> splitWords(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream in(text);
-  std::string word;
-  while (in >> word) out.push_back(word);
-  return out;
+/// A history depth or ownership strength: a non-negative int.
+int parseCount(std::string_view key, std::string_view text) {
+  const auto v = sim::parseNumber<int>(text);
+  if (!v || *v < 0) {
+    throw std::invalid_argument("bad " + std::string(key) + ": " +
+                                std::string(text));
+  }
+  return *v;
 }
 
 }  // namespace
@@ -208,30 +215,33 @@ AdmissionDecision admit(const QosOffer& offered, const QosRequest& requested) {
 
 QosOffer parseQosOffer(const std::string& text) {
   QosOffer offer;
-  for (const std::string& word : splitWords(text)) {
+  for (const std::string_view word : sim::split(text, ' ')) {
+    if (word.empty()) continue;
     const std::size_t eq = word.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("bad offer item: " + word);
+    if (eq == std::string_view::npos) {
+      throw std::invalid_argument("bad offer item: " + std::string(word));
     }
-    const std::string key = word.substr(0, eq);
-    const std::string value = word.substr(eq + 1);
+    const std::string_view key = word.substr(0, eq);
+    const std::string_view value = word.substr(eq + 1);
     if (key == "deadline") {
       offer.deadlineMs = parseMs(value);
     } else if (key == "liveliness") {
       const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        throw std::invalid_argument("liveliness needs kind:lease, got " + value);
+      if (colon == std::string_view::npos) {
+        throw std::invalid_argument("liveliness needs kind:lease, got " +
+                                    std::string(value));
       }
-      offer.liveliness = parseLivelinessKind(value.substr(0, colon));
+      offer.liveliness =
+          parseLivelinessKind(std::string(value.substr(0, colon)));
       offer.leaseMs = parseMs(value.substr(colon + 1));
     } else if (key == "history") {
-      offer.historyDepth = std::atoi(value.c_str());
+      offer.historyDepth = parseCount(key, value);
     } else if (key == "durability") {
-      offer.durability = parseDurabilityKind(value);
+      offer.durability = parseDurabilityKind(std::string(value));
     } else if (key == "strength") {
-      offer.ownershipStrength = std::atoi(value.c_str());
+      offer.ownershipStrength = parseCount(key, value);
     } else {
-      throw std::invalid_argument("unknown offer key: " + key);
+      throw std::invalid_argument("unknown offer key: " + std::string(key));
     }
   }
   return offer;
@@ -239,30 +249,46 @@ QosOffer parseQosOffer(const std::string& text) {
 
 QosRequest parseQosRequest(const std::string& text) {
   QosRequest request;
-  for (const std::string& word : splitWords(text)) {
+  for (const std::string_view word : sim::split(text, ' ')) {
+    if (word.empty()) continue;
     const std::size_t op = word.find("<=");
     const std::size_t ge = word.find(">=");
-    const std::size_t cut = op != std::string::npos ? op : ge;
-    if (cut == std::string::npos) {
-      throw std::invalid_argument("bad request item (needs <= or >=): " + word);
+    const std::size_t cut = op != std::string_view::npos ? op : ge;
+    if (cut == std::string_view::npos) {
+      throw std::invalid_argument("bad request item (needs <= or >=): " +
+                                  std::string(word));
     }
-    const std::string key = word.substr(0, cut);
-    const std::string value = word.substr(cut + 2);
-    if (key == "deadline" && op != std::string::npos) {
+    const std::string_view key = word.substr(0, cut);
+    const std::string_view value = word.substr(cut + 2);
+    if (key == "deadline" && op != std::string_view::npos) {
       request.maxDeadlineMs = parseMs(value);
-    } else if (key == "lease" && op != std::string::npos) {
+    } else if (key == "lease" && op != std::string_view::npos) {
       request.maxLeaseMs = parseMs(value);
-    } else if (key == "history" && ge != std::string::npos) {
-      request.minHistoryDepth = std::atoi(value.c_str());
-    } else if (key == "durability" && ge != std::string::npos) {
-      request.minDurability = parseDurabilityKind(value);
-    } else if (key == "degrade-deadline" && op != std::string::npos) {
+    } else if (key == "history" && ge != std::string_view::npos) {
+      request.minHistoryDepth = parseCount(key, value);
+    } else if (key == "durability" && ge != std::string_view::npos) {
+      request.minDurability = parseDurabilityKind(std::string(value));
+    } else if (key == "degrade-deadline" && op != std::string_view::npos) {
       request.degradedDeadlineMs = parseMs(value);
-    } else if (key == "degrade-history" && ge != std::string::npos) {
-      request.degradedHistoryDepth = std::atoi(value.c_str());
+    } else if (key == "degrade-history" && ge != std::string_view::npos) {
+      request.degradedHistoryDepth = parseCount(key, value);
     } else {
-      throw std::invalid_argument("unknown request item: " + word);
+      throw std::invalid_argument("unknown request item: " + std::string(word));
     }
+  }
+  // The degraded floors relax the request; they may not tighten it.
+  if (request.maxDeadlineMs > 0 && request.degradedDeadlineMs > 0 &&
+      request.degradedDeadlineMs < request.maxDeadlineMs) {
+    throw std::invalid_argument("degrade-deadline " +
+                                formatMs(request.degradedDeadlineMs) +
+                                " is tighter than deadline " +
+                                formatMs(request.maxDeadlineMs));
+  }
+  if (request.minHistoryDepth > 0 &&
+      request.degradedHistoryDepth > request.minHistoryDepth) {
+    throw std::invalid_argument(
+        "degrade-history " + std::to_string(request.degradedHistoryDepth) +
+        " is tighter than history " + std::to_string(request.minHistoryDepth));
   }
   return request;
 }

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <utility>
 
+#include "sim/text.hpp"
+
 namespace softqos::rules {
 namespace {
 
@@ -95,6 +97,13 @@ const std::string& atomOf(const Sexp& s, const char* what) {
   return s.atom;
 }
 
+int intOf(const Sexp& s, const char* what) {
+  const std::string& atom = atomOf(s, what);
+  if (const auto value = sim::parseNumber<int>(atom)) return *value;
+  throw RuleParseError(std::string("expected integer ") + what + ", got '" +
+                       atom + "'");
+}
+
 /// Parse (SLOT operand) pairs from items[from..].
 std::vector<std::pair<std::string, Operand>> parseSlotOperands(
     const Sexp& list, std::size_t from) {
@@ -136,7 +145,11 @@ ConditionTest parseTest(const Sexp& s) {
     throw RuleParseError("test expects (op lhs rhs)");
   }
   ConditionTest t;
-  t.op = parseCmpOp(atomOf(s.items[0], "comparison operator"));
+  try {
+    t.op = parseCmpOp(atomOf(s.items[0], "comparison operator"));
+  } catch (const std::invalid_argument& e) {
+    throw RuleParseError(e.what());
+  }
   t.lhs = Operand::parse(atomOf(s.items[1], "test operand"));
   t.rhs = Operand::parse(atomOf(s.items[2], "test operand"));
   return t;
@@ -161,7 +174,7 @@ RuleAction parseAction(const Sexp& s) {
   if (head == "retract") {
     if (s.items.size() != 2) throw RuleParseError("retract expects an index");
     a.kind = RuleAction::Kind::kRetract;
-    a.patternIndex = std::stoi(atomOf(s.items[1], "pattern index"));
+    a.patternIndex = intOf(s.items[1], "pattern index");
     return a;
   }
   if (head == "modify") {
@@ -169,7 +182,7 @@ RuleAction parseAction(const Sexp& s) {
       throw RuleParseError("modify expects an index and slot pairs");
     }
     a.kind = RuleAction::Kind::kModify;
-    a.patternIndex = std::stoi(atomOf(s.items[1], "pattern index"));
+    a.patternIndex = intOf(s.items[1], "pattern index");
     a.slots = parseSlotOperands(s, 2);
     return a;
   }
@@ -214,7 +227,7 @@ Rule parseDefrule(const Sexp& s) {
           const Sexp& decl = item.items[d];
           if (!decl.isAtom && decl.items.size() == 2 &&
               decl.items[0].isAtom && decl.items[0].atom == "salience") {
-            rule.salience = std::stoi(atomOf(decl.items[1], "salience"));
+            rule.salience = intOf(decl.items[1], "salience");
             continue;
           }
           if (!decl.isAtom && decl.items.size() == 1 &&

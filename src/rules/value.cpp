@@ -1,9 +1,10 @@
 #include "rules/value.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <stdexcept>
+
+#include "sim/text.hpp"
 
 namespace softqos::rules {
 
@@ -48,13 +49,10 @@ Value Value::parseLiteral(const std::string& token) {
   }
   if (token == "TRUE") return boolean(true);
   if (token == "FALSE") return boolean(false);
-  if (!token.empty()) {
-    char* end = nullptr;
-    const long long asInt = std::strtoll(token.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0') return integer(asInt);
-    const double asReal = std::strtod(token.c_str(), &end);
-    if (end != nullptr && *end == '\0') return real(asReal);
+  if (const auto asInt = sim::parseNumber<std::int64_t>(token)) {
+    return integer(*asInt);
   }
+  if (const auto asReal = sim::parseNumber<double>(token)) return real(*asReal);
   return symbol(token);
 }
 

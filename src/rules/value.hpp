@@ -23,7 +23,9 @@ class Value {
   static Value boolean(bool v);
 
   /// Parse a CLIPS-style literal: 42 -> int, 4.2 -> float, "x" -> string,
-  /// TRUE/FALSE -> bool, anything else -> symbol.
+  /// TRUE/FALSE -> bool, anything else -> symbol. Numbers follow
+  /// sim::parseNumber: an integer past int64 reads as a float, and `0x10`
+  /// or `1e400` read as symbols.
   static Value parseLiteral(const std::string& token);
 
   [[nodiscard]] Type type() const { return type_; }

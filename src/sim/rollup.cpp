@@ -1,8 +1,6 @@
 #include "sim/rollup.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/text.hpp"
 
@@ -14,39 +12,6 @@ void appendDouble(std::string& out, double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   out += buf;
-}
-
-std::vector<std::string_view> splitView(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::optional<std::int64_t> parseI64(std::string_view s) {
-  const bool neg = !s.empty() && s.front() == '-';
-  const auto mag = parseU64(neg ? s.substr(1) : s);
-  if (!mag.has_value()) return std::nullopt;
-  const auto v = static_cast<std::int64_t>(*mag);
-  return neg ? -v : v;
-}
-
-std::optional<double> parseDouble(std::string_view s) {
-  if (s.empty() || s.size() >= 40) return std::nullopt;
-  char buf[40];
-  std::copy(s.begin(), s.end(), buf);
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + s.size()) return std::nullopt;
-  return v;
 }
 
 }  // namespace
@@ -84,12 +49,12 @@ std::string encodeHistogram(const Histogram& h) {
 }
 
 std::optional<Histogram> decodeHistogram(std::string_view text) {
-  const auto fields = splitView(text, ',');
+  const auto fields = split(text, ',');
   if (fields.size() < 4) return std::nullopt;
-  const auto count = parseU64(fields[0]);
-  const auto sum = parseDouble(fields[1]);
-  const auto min = parseDouble(fields[2]);
-  const auto max = parseDouble(fields[3]);
+  const auto count = parseNumber<std::uint64_t>(fields[0]);
+  const auto sum = parseNumber<double>(fields[1]);
+  const auto min = parseNumber<double>(fields[2]);
+  const auto max = parseNumber<double>(fields[3]);
   if (!count || !sum || !min || !max) return std::nullopt;
   std::vector<std::uint64_t> buckets;
   std::vector<std::pair<std::size_t, Exemplar>> exemplars;
@@ -98,12 +63,12 @@ std::optional<Histogram> decodeHistogram(std::string_view text) {
     const std::string_view field = fields[f];
     if (!field.empty() && field.front() == 'x') {
       // Exemplar entry: x<idx>:<trace>:<when>:<value>.
-      const auto parts = splitView(field.substr(1), ':');
+      const auto parts = split(field.substr(1), ':');
       if (parts.size() != 4) return std::nullopt;
-      const auto idx = parseU64(parts[0]);
-      const auto trace = parseU64(parts[1]);
-      const auto when = parseI64(parts[2]);
-      const auto value = parseDouble(parts[3]);
+      const auto idx = parseNumber<std::uint64_t>(parts[0]);
+      const auto trace = parseNumber<std::uint64_t>(parts[1]);
+      const auto when = parseNumber<std::int64_t>(parts[2]);
+      const auto value = parseNumber<double>(parts[3]);
       if (!idx || !trace || !when || !value || *idx >= 4096 || *trace == 0) {
         return std::nullopt;
       }
@@ -112,8 +77,8 @@ std::optional<Histogram> decodeHistogram(std::string_view text) {
     }
     const std::size_t colon = field.find(':');
     if (colon == std::string_view::npos) return std::nullopt;
-    const auto idx = parseU64(field.substr(0, colon));
-    const auto cnt = parseU64(field.substr(colon + 1));
+    const auto idx = parseNumber<std::uint64_t>(field.substr(0, colon));
+    const auto cnt = parseNumber<std::uint64_t>(field.substr(colon + 1));
     // Bucket indexes are bounded by log2 of the largest double the codec can
     // carry; 4096 is far past any real sample and blocks hostile resizes.
     if (!idx || !cnt || *idx >= 4096) return std::nullopt;
@@ -247,7 +212,7 @@ std::string TelemetrySnapshot::serialize() const {
 
 std::optional<TelemetrySnapshot> TelemetrySnapshot::parse(
     std::string_view text) {
-  const auto lines = splitView(text, '\n');
+  const auto lines = split(text, '\n');
   if (lines.empty() || lines[0] != "v1") return std::nullopt;
   TelemetrySnapshot snap;
   bool sawSource = false;
@@ -265,8 +230,8 @@ std::optional<TelemetrySnapshot> TelemetrySnapshot::parse(
     } else if (key == "win") {
       const std::size_t comma = rest.find(',');
       if (comma == std::string_view::npos) return std::nullopt;
-      const auto start = parseI64(rest.substr(0, comma));
-      const auto end = parseI64(rest.substr(comma + 1));
+      const auto start = parseNumber<std::int64_t>(rest.substr(0, comma));
+      const auto end = parseNumber<std::int64_t>(rest.substr(comma + 1));
       if (!start || !end) return std::nullopt;
       snap.windowStart = *start;
       snap.windowEnd = *end;
@@ -274,7 +239,7 @@ std::optional<TelemetrySnapshot> TelemetrySnapshot::parse(
     } else if (key == "c") {
       const std::size_t comma = rest.rfind(',');
       if (comma == std::string_view::npos) return std::nullopt;
-      const auto delta = parseI64(rest.substr(comma + 1));
+      const auto delta = parseNumber<std::int64_t>(rest.substr(comma + 1));
       if (!delta) return std::nullopt;
       snap.counters.emplace_back(std::string(rest.substr(0, comma)), *delta);
     } else if (key == "h") {

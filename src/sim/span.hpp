@@ -11,12 +11,11 @@
 // enabled runs stay deterministic too.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <system_error>
 
+#include "sim/text.hpp"
 #include "sim/time.hpp"
 
 namespace softqos::sim {
@@ -38,26 +37,16 @@ struct TraceContext {
 
   /// Parse the wire form; malformed text yields an invalid context (the
   /// receiver simply records no spans) rather than an error. Both ids must
-  /// be non-empty, fully consumed decimal fields that fit in 64 bits and
+  /// be strict decimal numbers (sim::parseNumber) that fit in 64 bits and
   /// are nonzero: an overflowing id would alias a real trace, and span 0 is
   /// the root marker.
   static TraceContext parse(std::string_view text) {
     const std::size_t colon = text.find(':');
     if (colon == std::string_view::npos) return {};
-    std::uint64_t trace = 0;
-    std::uint64_t span = 0;
-    if (!parseId(text.substr(0, colon), trace) ||
-        !parseId(text.substr(colon + 1), span)) {
-      return {};
-    }
-    return TraceContext{trace, span, 0};
-  }
-
- private:
-  static bool parseId(std::string_view field, std::uint64_t& out) {
-    const char* const end = field.data() + field.size();
-    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
-    return !field.empty() && ec == std::errc{} && ptr == end && out != 0;
+    const auto trace = parseNumber<std::uint64_t>(text.substr(0, colon));
+    const auto span = parseNumber<std::uint64_t>(text.substr(colon + 1));
+    if (!trace || !span || *trace == 0 || *span == 0) return {};
+    return TraceContext{*trace, *span, 0};
   }
 };
 

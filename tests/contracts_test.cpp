@@ -165,6 +165,23 @@ TEST(ContractWire, OfferRoundTripsThroughToString) {
 
   const QosOffer again = policy::parseQosOffer(offer.toString());
   EXPECT_EQ(again.toString(), offer.toString());
+
+  // toString -> parse gives back every field, for every shape of offer.
+  for (const char* text :
+       {"", "deadline=0.5s", "liveliness=manual:1.5s history=1",
+        "strength=3 durability=volatile", "deadline=12.25 history=0",
+        "deadline=33ms liveliness=automatic:400ms history=8 "
+        "durability=transient_local strength=10"}) {
+    const QosOffer parsed = policy::parseQosOffer(text);
+    const QosOffer back = policy::parseQosOffer(parsed.toString());
+    EXPECT_DOUBLE_EQ(back.deadlineMs, parsed.deadlineMs) << text;
+    EXPECT_EQ(back.liveliness, parsed.liveliness) << text;
+    EXPECT_DOUBLE_EQ(back.leaseMs, parsed.leaseMs) << text;
+    EXPECT_EQ(back.historyDepth, parsed.historyDepth) << text;
+    EXPECT_EQ(back.durability, parsed.durability) << text;
+    EXPECT_EQ(back.ownershipStrength, parsed.ownershipStrength) << text;
+    EXPECT_EQ(back.toString(), parsed.toString()) << text;
+  }
 }
 
 TEST(ContractWire, RequestRoundTripsThroughToString) {
@@ -181,6 +198,26 @@ TEST(ContractWire, RequestRoundTripsThroughToString) {
 
   const QosRequest again = policy::parseQosRequest(request.toString());
   EXPECT_EQ(again.toString(), request.toString());
+
+  // toString -> parse gives back every field, the unset degraded history
+  // (-1) and a degraded history of 0 included.
+  for (const char* text :
+       {"", "deadline<=40ms degrade-deadline<=100ms degrade-history>=1",
+        "lease<=2s", "history>=3 degrade-history>=0",
+        "durability>=volatile deadline<=0.25s",
+        "deadline<=36ms lease<=500ms history>=4 durability>=transient_local "
+        "degrade-deadline<=80ms degrade-history>=1"}) {
+    const QosRequest parsed = policy::parseQosRequest(text);
+    const QosRequest back = policy::parseQosRequest(parsed.toString());
+    EXPECT_DOUBLE_EQ(back.maxDeadlineMs, parsed.maxDeadlineMs) << text;
+    EXPECT_DOUBLE_EQ(back.maxLeaseMs, parsed.maxLeaseMs) << text;
+    EXPECT_EQ(back.minHistoryDepth, parsed.minHistoryDepth) << text;
+    EXPECT_EQ(back.minDurability, parsed.minDurability) << text;
+    EXPECT_DOUBLE_EQ(back.degradedDeadlineMs, parsed.degradedDeadlineMs)
+        << text;
+    EXPECT_EQ(back.degradedHistoryDepth, parsed.degradedHistoryDepth) << text;
+    EXPECT_EQ(back.toString(), parsed.toString()) << text;
+  }
 }
 
 TEST(ContractWire, SecondsAndBareNumbersParseAsMs) {
@@ -201,6 +238,31 @@ TEST(ContractWire, MalformedInputThrows) {
                std::invalid_argument);
   EXPECT_THROW((void)policy::parseQosRequest("mystery<=5"),
                std::invalid_argument);
+  // Counts and durations are strict, non-negative numbers, checked when
+  // the contract is parsed rather than at admission.
+  for (const char* offer :
+       {"history=abc", "strength=-5x", "strength=-5", "history=-1",
+        "history=99999999999", "deadline=-5ms", "deadline=nanms",
+        "deadline=1e400ms", "deadline=ms", "deadline=5xs",
+        "liveliness=automatic:-1ms"}) {
+    EXPECT_THROW((void)policy::parseQosOffer(offer), std::invalid_argument)
+        << offer;
+  }
+  for (const char* request :
+       {"history>=-3", "degrade-history>=-1", "deadline<=-36ms",
+        "lease<=0x10ms", "degrade-deadline<=+-5ms",
+        // Degraded floors relax the request; they may not tighten it.
+        "deadline<=80ms degrade-deadline<=36ms",
+        "history>=1 degrade-history>=4"}) {
+    EXPECT_THROW((void)policy::parseQosRequest(request), std::invalid_argument)
+        << request;
+  }
+  // The in-tree shapes still parse: gold's 36/80 ms and 4/1, silver's
+  // 40/100 ms with history unset and a degraded history floor.
+  EXPECT_NO_THROW((void)policy::parseQosRequest(
+      "deadline<=36ms history>=4 degrade-deadline<=80ms degrade-history>=1"));
+  EXPECT_NO_THROW((void)policy::parseQosRequest(
+      "deadline<=40ms degrade-deadline<=100ms degrade-history>=1"));
 }
 
 // ---- `contract` block parsing ----
@@ -804,6 +866,44 @@ TEST(ContractFacts, EventsProjectIntoWorkingMemory) {
   // Every event carrying a kind counts as seen, even an unknown one; the
   // kind-less garbage does not.
   EXPECT_EQ(hm.contractEventsSeen(), 9u);
+}
+
+TEST(ContractFacts, MultiMismatchDetailSurvivesTheWire) {
+  apps::TestbedConfig cfg;
+  cfg.contractPlane = true;
+  apps::Testbed tb(cfg);
+  tb.sim.trace().setLevel(sim::TraceLevel::kInfo);
+
+  // AdmissionDecision::reason joins its mismatches with "; ", the same
+  // separator the event body uses between fields: the detail must be read
+  // to the end of the body.
+  QosOffer offer;
+  offer.deadlineMs = 50;
+  offer.historyDepth = 1;
+  QosRequest request;
+  request.maxDeadlineMs = 36;
+  request.minHistoryDepth = 4;
+  const std::string reason = policy::admit(offer, request).reason();
+  ASSERT_NE(reason.find("; "), std::string::npos) << reason;
+
+  distribution::ContractEvent event;
+  event.kind = distribution::ContractEvent::Kind::kDegraded;
+  event.pid = 5;
+  event.contract = "cam";
+  event.detail = reason;
+  net::RpcEndpoint agent(tb.network, tb.mgmtHost, 7990);
+  agent.notify(tb.clientHost.name(), 7001, "contract-event", event.serialize());
+  tb.sim.runUntil(tb.sim.now() + sim::sec(1));
+
+  EXPECT_EQ(tb.clientHm->contractEventsSeen(), 1u);
+  EXPECT_NE(tb.clientHm->engine().facts().findWhere(
+                "contract-degraded", {{"pid", rules::Value::integer(5)}}),
+            nullptr);
+  bool logged = false;
+  for (const sim::TraceRecord& record : tb.sim.trace().records()) {
+    if (record.message.ends_with("(cam): " + reason)) logged = true;
+  }
+  EXPECT_TRUE(logged) << "the host manager must log the whole detail";
 }
 
 TEST(ContractTestbed, GoldSessionAdmitsFullAndStaysAlive) {

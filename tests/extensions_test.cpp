@@ -71,6 +71,12 @@ TEST(ControlCommand, GarbageIsRejected) {
   EXPECT_FALSE(ControlCommand::parse("CTL|unknown-verb|x", out));
   EXPECT_FALSE(ControlCommand::parse("CTL|set-threshold|1", out));
   EXPECT_FALSE(ControlCommand::parse("CTL|adapt", out));
+  // Numbers are strict: no trailing bytes, no hex, no wrap.
+  EXPECT_FALSE(ControlCommand::parse("CTL|set-threshold|7z|1.5", out));
+  EXPECT_FALSE(ControlCommand::parse("CTL|set-threshold|7|1.5q", out));
+  EXPECT_FALSE(ControlCommand::parse("CTL|set-threshold|99999999999|1", out));
+  EXPECT_FALSE(ControlCommand::parse("CTL|set-tick|fps|0x10", out));
+  EXPECT_FALSE(ControlCommand::parse("CTL|enable-sensor|fps|yes", out));
 }
 
 // ---- Coordinator control execution (end-to-end through the testbed) ----

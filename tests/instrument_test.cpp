@@ -418,6 +418,11 @@ TEST(Report, GarbageDoesNotParse) {
   EXPECT_FALSE(ViolationReport::parse("hello").has_value());
   EXPECT_FALSE(ViolationReport::parse("QOSRPT|a|b").has_value());
   EXPECT_FALSE(ViolationReport::parse("QOSRPT|p|1|h|e|r|X|").has_value());
+  // A pid or metric that is not wholly a number rejects the report.
+  EXPECT_FALSE(ViolationReport::parse("QOSRPT|p|4x2|h|e|r|V|").has_value());
+  EXPECT_FALSE(ViolationReport::parse("QOSRPT|p|-4|h|e|r|V|").has_value());
+  EXPECT_FALSE(ViolationReport::parse("QOSRPT|p|4|h|e|r|V|fps=abc").has_value());
+  EXPECT_FALSE(ViolationReport::parse("QOSRPT|p|4|h|e|r|V|fps=1e400").has_value());
 }
 
 // ---- Coordinator (Examples 3 & 4) ----

@@ -418,11 +418,18 @@ TEST_F(DmFixture, HostStatsRpcReportsLoadAndLiveness) {
 
 TEST_F(DmFixture, MalformedRulePushIsRejectedOverRpc) {
   net::RpcEndpoint probe(net, mgmt, 7901);
-  std::string reply;
-  probe.call("client-host", 7001, "set-rules", "(defrule broken",
-             [&](bool, std::string body) { reply = std::move(body); });
-  s.runUntil(sim::sec(1));
-  EXPECT_EQ(reply.rfind("ERR:", 0), 0u) << reply;
+  // A non-integer or out-of-range pattern index or salience is a typed
+  // parse error answered on the wire, never an exception out of runUntil.
+  for (const std::string text :
+       {"(defrule broken", "(defrule r (a) => (retract x))",
+        "(defrule r (a) => (retract 99999999999))",
+        "(defrule r (declare (salience abc)) (a) => (retract 1))"}) {
+    std::string reply;
+    probe.call("client-host", 7001, "set-rules", text,
+               [&](bool, std::string body) { reply = std::move(body); });
+    s.runUntil(s.now() + sim::sec(1));
+    EXPECT_EQ(reply.rfind("ERR:", 0), 0u) << text << " -> " << reply;
+  }
   EXPECT_EQ(clientHm->rulePushesReceived(), 0u);
 }
 
@@ -575,7 +582,8 @@ TEST_F(TreeDmFixture, EscalateFramesParseHopsOnTheWire) {
 
   // Malformed hop counts are rejected outright.
   for (const std::string& frame :
-       {"FWD0|" + report, "FWDx|" + report, std::string("FWD3-nobar")}) {
+       {"FWD0|" + report, "FWDx|" + report, "FWD3x|" + report,
+        "FWD-1|" + report, std::string("FWD3-nobar")}) {
     probe.call("cluster-seat", 7100, "escalate", frame,
                [&](bool, std::string body) { reply = std::move(body); });
     s.runUntil(s.now() + sim::sec(1));

@@ -560,13 +560,13 @@ TEST_F(RpcFixture, ConcurrentCallsMatchResponses) {
 }
 
 TEST(SplitString, MaxPartsKeepsRemainder) {
-  const auto parts = sim::splitString("a|b|c|d", '|', 3);
+  const auto parts = sim::split("a|b|c|d", '|', 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[2], "c|d");
 }
 
 TEST(SplitString, NoDelimiterYieldsWhole) {
-  const auto parts = sim::splitString("abc", '|', 0);
+  const auto parts = sim::split("abc", '|', 0);
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(parts[0], "abc");
 }

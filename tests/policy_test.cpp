@@ -200,6 +200,25 @@ TEST(ObligParser, ErrorsAreDiagnosed) {
   EXPECT_THROW(parseObligation("oblig X {\n on not (a > 1)\n do broken\n}"),
                PolicyParseError);
   EXPECT_THROW(parseObligation("no policies here"), PolicyParseError);
+  // Thresholds and tolerances are strict numbers.
+  for (const char* expr :
+       {"frame_rate > 1.2.3", "frame_rate > -", "frame_rate > +",
+        "frame_rate = 25(+)(-2)", "frame_rate = 25(+2)(-)",
+        "frame_rate > .", "frame_rate => 5"}) {
+    PolicySpec spec;
+    EXPECT_THROW(parseConditionExpr(expr, spec), PolicyParseError) << expr;
+    EXPECT_THROW(parseObligation(std::string("oblig X {\n on not (") + expr +
+                                 ")\n}"),
+                 PolicyParseError)
+        << expr;
+  }
+  // Example 1's signed tolerances still parse.
+  PolicySpec example;
+  parseConditionExpr("frame_rate = 28(+4)(-3)", example);
+  ASSERT_EQ(example.conditions.size(), 1u);
+  EXPECT_DOUBLE_EQ(example.conditions[0].threshold, 28.0);
+  EXPECT_DOUBLE_EQ(example.conditions[0].tolerance.above, 4.0);
+  EXPECT_DOUBLE_EQ(example.conditions[0].tolerance.below, 3.0);
 }
 
 TEST(ObligParser, RoundTripThroughToString) {

@@ -4,6 +4,7 @@
 
 #include <bitset>
 
+#include "instrument/control.hpp"
 #include "instrument/report.hpp"
 #include "ldapdir/ldif.hpp"
 #include "osim/host.hpp"
@@ -238,6 +239,40 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ReportCase{0, true, 0, ""}, ReportCase{1, false, 1, "gold"},
                       ReportCase{4294967295u, true, 7, "silver"},
                       ReportCase{42, false, 16, "x"}));
+
+// ---- Control commands: every verb parses back to its own frame ----
+
+struct ControlCase {
+  const char* verb;
+  const char* frame;
+};
+
+void PrintTo(const ControlCase& c, std::ostream* os) { *os << c.verb; }
+
+class ControlProperty : public ::testing::TestWithParam<ControlCase> {};
+
+TEST_P(ControlProperty, ParseSerializeIsIdentity) {
+  instrument::ControlCommand command;
+  ASSERT_TRUE(instrument::ControlCommand::parse(GetParam().frame, command));
+  EXPECT_EQ(command.serialize(), GetParam().frame);
+  instrument::ControlCommand again;
+  ASSERT_TRUE(instrument::ControlCommand::parse(command.serialize(), again));
+  EXPECT_EQ(again.kind, command.kind);
+  EXPECT_EQ(again.target, command.target);
+  EXPECT_EQ(again.args, command.args);
+  EXPECT_EQ(again.comparisonId, command.comparisonId);
+  EXPECT_EQ(again.value, command.value);
+  EXPECT_EQ(again.enable, command.enable);
+  EXPECT_EQ(again.tickMicros, command.tickMicros);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Verbs, ControlProperty,
+    ::testing::Values(ControlCase{"adapt", "CTL|adapt|quality|down|fast"},
+                      ControlCase{"set-threshold", "CTL|set-threshold|-7|23.5"},
+                      ControlCase{"enable-sensor", "CTL|enable-sensor|fps|0"},
+                      ControlCase{"set-tick", "CTL|set-tick|fps|125000"},
+                      ControlCase{"remove-policy", "CTL|remove-policy|P1"}));
 
 // ---- DN canonicalization is idempotent ----
 

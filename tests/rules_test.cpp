@@ -646,6 +646,20 @@ TEST(Parser, ErrorsAreReported) {
   EXPECT_THROW(parseRules("(defrule r (t) => (retract))"), RuleParseError);
   EXPECT_THROW(parseRules(R"((defrule r (t (msg "unterminated)) => (call f)))"),
                RuleParseError);
+  // Indexes and salience are strict ints: a typed error names the token.
+  for (const char* text :
+       {"(defrule r (t) => (retract x))",
+        "(defrule r (t) => (retract 99999999999))",
+        "(defrule r (t) => (modify 1x (a 1)))",
+        "(defrule r (declare (salience abc)) (t) => (retract 1))",
+        "(defrule r (t (a ?x)) (test (~ ?x 1)) => (retract 1))"}) {
+    EXPECT_THROW(parseRules(text), RuleParseError) << text;
+  }
+  try {
+    parseRules("(defrule r (t) => (retract x))");
+  } catch (const RuleParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("'x'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Parser, FactListParses) {

@@ -5,6 +5,8 @@
 // rollups, telemetry RPCs and the fault injector all armed at once.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -91,6 +93,10 @@ TEST(HistogramCodec, RejectsMalformedText) {
       << "bucket total != count must be rejected";
   EXPECT_FALSE(sim::decodeHistogram("1,1.0,1.0,1.0,99999:1").has_value())
       << "absurd bucket index must be rejected";
+  EXPECT_FALSE(sim::decodeHistogram("1, 1.0,1.0,1.0,0:1").has_value())
+      << "whitespace is not part of a number";
+  EXPECT_FALSE(sim::decodeHistogram("1,0x10,1.0,1.0,0:1").has_value());
+  EXPECT_FALSE(sim::decodeHistogram("1,1e400,1.0,1.0,0:1").has_value());
 }
 
 TEST(HistogramCodec, ExemplarsRoundTripAndStayOptional) {
@@ -134,6 +140,15 @@ TEST(HistogramCodec, RejectsMalformedExemplars) {
   EXPECT_FALSE(sim::decodeHistogram("1,100,100,100,27:1,x99999:42:5000:100")
                    .has_value())
       << "absurd exemplar bucket index must be rejected";
+  EXPECT_FALSE(
+      sim::decodeHistogram("1,100,100,100,27:1,x27:42:9999999999999999999:100")
+          .has_value())
+      << "an exemplar time past int64 must be rejected, not wrapped";
+  const auto minWhen =
+      sim::decodeHistogram("1,100,100,100,27:1,x27:42:-9223372036854775808:100");
+  ASSERT_TRUE(minWhen.has_value());
+  EXPECT_EQ(minWhen->exemplars().at(27).when,
+            std::numeric_limits<std::int64_t>::min());
 }
 
 // ---- Windowed rollups ----
@@ -231,6 +246,17 @@ TEST(Telemetry, SnapshotRoundTripsAndAggregates) {
   EXPECT_FALSE(sim::TelemetrySnapshot::parse("").has_value());
   EXPECT_FALSE(sim::TelemetrySnapshot::parse("v2\nsrc=x\nwin=0,1").has_value());
   EXPECT_FALSE(sim::TelemetrySnapshot::parse("v1\nwin=0,1").has_value());
+  // Window bounds are strict int64: an overflow is rejected rather than
+  // wrapped, and INT64_MIN parses without negating a signed value.
+  EXPECT_FALSE(
+      sim::TelemetrySnapshot::parse("v1\nsrc=x\nwin=9999999999999999999,0")
+          .has_value());
+  const auto minWindow =
+      sim::TelemetrySnapshot::parse("v1\nsrc=x\nwin=-9223372036854775808,0");
+  ASSERT_TRUE(minWindow.has_value());
+  EXPECT_EQ(minWindow->windowStart, std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(sim::TelemetrySnapshot::parse("v1\nsrc=x\nwin=0,1\nc=a,4x")
+                   .has_value());
 
   // Two sources merge: histograms fold bucket-wise, counters sum.
   sim::TelemetryAggregator agg;

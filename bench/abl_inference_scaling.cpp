@@ -1,7 +1,7 @@
 // Ablation E6: inference-engine scaling. The managers' rule/fact
-// populations are small; this bench quantifies how far the naive re-match
-// design carries (rule count, working-memory size, and dynamic rule
-// add/remove cost — the paper's dynamic rule distribution path).
+// populations are small; this bench quantifies how far the incremental
+// matcher carries (rule count, working-memory size, fact churn, and dynamic
+// rule add/remove cost — the paper's dynamic rule distribution path).
 #include <benchmark/benchmark.h>
 
 #include "rules/engine.hpp"
@@ -37,8 +37,8 @@ void populate(InferenceEngine& e, int rules, int facts) {
   }
 }
 
-/// Quiescent re-match: the engine re-derives an empty agenda (everything
-/// already fired) — the steady-state cost a manager pays per report.
+/// Quiescent run: everything already fired, so run() finds an empty
+/// agenda — the steady-state cost a manager pays per report.
 void BM_QuiescentRun(benchmark::State& state) {
   InferenceEngine e;
   populate(e, static_cast<int>(state.range(0)),

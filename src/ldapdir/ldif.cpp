@@ -132,6 +132,9 @@ std::vector<LdifRecord> parseLdif(const std::string& text) {
 
 std::string toLdif(const Entry& entry) {
   std::string out = "dn: " + entry.dn().toString() + "\n";
+  // A changetype attribute must not open the record, where it would read
+  // as the record's change type: RFC 2849's explicit add comes first.
+  if (entry.hasAttribute("changetype")) out += "changetype: add\n";
   // objectClass conventionally leads.
   if (const auto* ocs = entry.values("objectclass")) {
     for (const std::string& oc : *ocs) out += "objectClass: " + oc + "\n";

@@ -30,7 +30,8 @@ struct LdifRecord {
 /// Parse LDIF text into records. Throws LdifParseError on malformed input.
 std::vector<LdifRecord> parseLdif(const std::string& text);
 
-/// Serialize one entry as an LDIF add record.
+/// Serialize one entry as an LDIF add record (with an explicit
+/// "changetype: add" line only when the entry has a changetype attribute).
 std::string toLdif(const Entry& entry);
 
 /// Serialize a whole directory subtree (suffix first, parents before

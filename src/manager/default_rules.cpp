@@ -137,11 +137,7 @@ std::string defaultHostRules(const HostRuleThresholds& t) {
 ; ---- keeping up, so escalate every still-violated session to the domain
 ; ---- manager regardless of where the evidence points.
 (defrule slo-breach-escalate
-  ; slo-breach carries no pid: this rule deliberately joins a global fact
-  ; against every application's violations, so it opts out of partition
-  ; scoping (partition derivation would make it exact anyway; the declare
-  ; documents the cross-application intent).
-  (declare (salience 30) (cross-partition))
+  (declare (salience 30))
   (slo-breach (objective ?o))
   (violation (pid ?pid))
   =>

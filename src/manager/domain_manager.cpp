@@ -565,16 +565,10 @@ void QoSDomainManager::publishAggregate() {
 }
 
 void QoSDomainManager::retractEscalationFacts(std::uint64_t escalationId) {
-  const Value idValue = Value::integer(static_cast<std::int64_t>(escalationId));
-  std::vector<rules::FactId> toRetract;
+  const rules::SlotMap ofEscalation{
+      {"id", Value::integer(static_cast<std::int64_t>(escalationId))}};
   for (const char* tmpl : {"escalation", "server-stats", "net-stats"}) {
-    engine_.facts().forEach(tmpl, [&](const rules::Fact& f) {
-      const Value* v = f.slot("id");
-      if (v != nullptr && *v == idValue) toRetract.push_back(f.id);
-      return true;
-    });
-    for (const rules::FactId id : toRetract) engine_.facts().retract(id);
-    toRetract.clear();
+    engine_.facts().retractWhere(tmpl, ofEscalation);
   }
 }
 

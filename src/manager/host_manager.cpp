@@ -34,11 +34,6 @@ QoSHostManager::QoSHostManager(sim::Simulation& simulation, osim::Host& host,
           simulation.localMetrics().histogramHandle("rules.fire_wall_ns")) {
   registerEngineFunctions();
   installFireHooks();
-  // Working memory is keyed by application pid, so rule joins for one
-  // application never scan another's facts. Firing order is identical to
-  // an unpartitioned engine: the engine derives partition scope per join
-  // position.
-  engine_.setPartitionSlot("pid");
   loadDefaultRules();
 
   // Coordinators reach the manager through the host message queue.
@@ -527,13 +522,13 @@ bool QoSHostManager::handleContractEvent(const std::string& body) {
   const Value contractValue = Value::symbol(contract.empty() ? "none" : contract);
   if (kind == "degraded") {
     // Working memory holds one tier fact per pid.
-    retractContractFacts("contract-degraded", "pid", pidValue);
+    engine_.facts().retractWhere("contract-degraded", {{"pid", pidValue}});
     rules::SlotMap slots;
     slots.emplace("pid", pidValue);
     slots.emplace("contract", contractValue);
     engine_.facts().assertFact("contract-degraded", std::move(slots));
   } else if (kind == "restored") {
-    retractContractFacts("contract-degraded", "pid", pidValue);
+    engine_.facts().retractWhere("contract-degraded", {{"pid", pidValue}});
   } else if (kind == "liveliness-lost") {
     rules::SlotMap slots;
     slots.emplace("pid", pidValue);
@@ -541,7 +536,8 @@ bool QoSHostManager::handleContractEvent(const std::string& body) {
     engine_.facts().assertFact("liveliness-lost", std::move(slots));
   } else if (kind == "owner-changed") {
     // One owner fact per contract; pid 0 (no owner left) just retracts.
-    retractContractFacts("contract-owner", "contract", contractValue);
+    engine_.facts().retractWhere("contract-owner",
+                                 {{"contract", contractValue}});
     if (pid != 0) {
       rules::SlotMap slots;
       slots.emplace("contract", contractValue);
@@ -556,17 +552,6 @@ bool QoSHostManager::handleContractEvent(const std::string& body) {
   }
   engine_.run();
   return true;
-}
-
-void QoSHostManager::retractContractFacts(const char* tmpl, const char* slot,
-                                          const Value& value) {
-  std::vector<rules::FactId> toRetract;
-  engine_.facts().forEach(tmpl, [&](const rules::Fact& f) {
-    const Value* v = f.slot(slot);
-    if (v != nullptr && *v == value) toRetract.push_back(f.id);
-    return true;
-  });
-  for (const rules::FactId id : toRetract) engine_.facts().retract(id);
 }
 
 void QoSHostManager::requestRenegotiation(std::uint32_t pid, bool down) {
@@ -597,17 +582,10 @@ void QoSHostManager::requestRenegotiation(std::uint32_t pid, bool down) {
 }
 
 void QoSHostManager::retractSessionFacts(std::uint32_t pid) {
-  const Value pidValue = Value::integer(pid);
-  std::vector<rules::FactId> toRetract;
+  const rules::SlotMap ofPid{{"pid", Value::integer(pid)}};
   for (const char* tmpl :
        {"violation", "cleared", "metric", "proc-stat", "alloc-state"}) {
-    engine_.facts().forEach(tmpl, [&](const rules::Fact& f) {
-      const Value* v = f.slot("pid");
-      if (v != nullptr && *v == pidValue) toRetract.push_back(f.id);
-      return true;
-    });
-    for (const rules::FactId id : toRetract) engine_.facts().retract(id);
-    toRetract.clear();
+    engine_.facts().retractWhere(tmpl, ofPid);
   }
 }
 

@@ -152,8 +152,6 @@ class QoSHostManager {
   void installQueueReceiver();
   void sweepStaleFacts();
   void retractSessionFacts(std::uint32_t pid);
-  void retractContractFacts(const char* tmpl, const char* slot,
-                            const rules::Value& value);
   void escalate(std::uint32_t pid);
   void requestRenegotiation(std::uint32_t pid, bool down);
   /// Causal tracing: mark an actuator/resource-knob invocation inside the

@@ -34,27 +34,25 @@ struct BoolExpr::Node {
     return best;
   }
 
-  [[nodiscard]] std::string text() const {
+  [[nodiscard]] std::string text(
+      const std::function<std::string(int)>& name) const {
     switch (kind) {
       case Kind::kTrue:
         return "TRUE";
-      case Kind::kVar: {
-        std::string out = "x";
-        out += std::to_string(var + 1);
-        return out;
-      }
+      case Kind::kVar:
+        return name(var);
       case Kind::kAnd:
       case Kind::kOr: {
         const std::string sep = kind == Kind::kAnd ? " AND " : " OR ";
         std::string out = "(";
         for (std::size_t i = 0; i < children.size(); ++i) {
           if (i != 0) out += sep;
-          out += children[i]->text();
+          out += children[i]->text(name);
         }
         return out + ")";
       }
       case Kind::kNot:
-        return "NOT " + children.front()->text();
+        return "NOT " + children.front()->text(name);
     }
     return "?";
   }
@@ -106,7 +104,18 @@ bool BoolExpr::evaluate(const std::vector<bool>& vars) const {
 
 int BoolExpr::maxVarIndex() const { return root_->maxVar(); }
 
-std::string BoolExpr::toString() const { return root_->text(); }
+std::string BoolExpr::toString() const {
+  return toString([](int var) {
+    std::string out = "x";  // not "x" + ...: GCC 12 warns -Wrestrict on it
+    out += std::to_string(var + 1);
+    return out;
+  });
+}
+
+std::string BoolExpr::toString(
+    const std::function<std::string(int)>& name) const {
+  return root_->text(name);
+}
 
 BoolExpr BoolExpr::substitute(const std::function<BoolExpr(int)>& map) const {
   switch (root_->kind) {

@@ -27,8 +27,12 @@ class BoolExpr {
   /// Highest variable index used, or -1 when the expression is constant.
   [[nodiscard]] int maxVarIndex() const;
 
-  /// Render like "x1 AND x2 AND x3" (coordinator trace format).
+  /// Render like "(x1 AND (x2 OR NOT x3))", naming variable i "x<i+1>"
+  /// (coordinator trace format).
   [[nodiscard]] std::string toString() const;
+  /// The same rendering with variable i written as name(i).
+  [[nodiscard]] std::string toString(
+      const std::function<std::string(int)>& name) const;
 
   /// Replace each variable i with map(i) (used by the compiler to expand a
   /// condition variable into the AND of its primitive comparisons).

@@ -49,14 +49,16 @@ std::string PolicySpec::toString() const {
     if (i != 0) out += ",";
     out += targets[i];
   }
-  out += "\n  on not (";
-  const std::string sep =
-      combinator == Combinator::kConjunction ? " AND " : " OR ";
-  for (std::size_t i = 0; i < conditions.size(); ++i) {
-    if (i != 0) out += sep;
-    out += conditions[i].toString();
+  // AND/OR groups bring their own parentheses; a lone condition or NOT gets
+  // them here, and a policy without conditions prints "()".
+  std::string requirement;
+  if (!conditions.empty()) {
+    requirement = conditionExpr().toString([&](int var) {
+      return conditions.at(static_cast<std::size_t>(var)).toString();
+    });
   }
-  out += ")\n  do ";
+  if (!requirement.starts_with('(')) requirement = "(" + requirement + ")";
+  out += "\n  on not " + requirement + "\n  do ";
   for (std::size_t i = 0; i < actions.size(); ++i) {
     if (i != 0) out += ";\n     ";
     out += actions[i].toString();

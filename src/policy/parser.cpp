@@ -70,10 +70,21 @@ class ExprLexer {
         c == '-') {
       const std::size_t start = pos_;
       if (c == '+' || c == '-') ++pos_;
-      while (pos_ < text_.size() &&
-             (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '.')) {
+      const auto digitAt = [&](std::size_t at) {
+        return at < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[at]));
+      };
+      while (digitAt(pos_) || (pos_ < text_.size() && text_[pos_] == '.')) {
         ++pos_;
+      }
+      // An exponent, as formatNumber writes very large and small numbers.
+      if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+        std::size_t at = pos_ + 1;
+        if (at < text_.size() && (text_[at] == '+' || text_[at] == '-')) ++at;
+        if (digitAt(at)) {
+          pos_ = at;
+          while (digitAt(pos_)) ++pos_;
+        }
       }
       current_.kind = Token::Kind::kNumber;
       current_.text = text_.substr(start, pos_ - start);
@@ -321,9 +332,8 @@ std::vector<Block> scanBlocks(
       const auto clause =
           std::find_if(clauseKeywords.begin(), clauseKeywords.end(),
                        [&](std::string_view k) {
-                         return t.size() > k.size() &&
-                                t.substr(0, k.size()) == k &&
-                                isSpace(t[k.size()]);
+                         return t.substr(0, k.size()) == k &&
+                                (t.size() == k.size() || isSpace(t[k.size()]));
                        });
       if (clause != clauseKeywords.end()) {
         block.clauses.emplace_back(*clause, trim(t.substr(clause->size())));

@@ -84,34 +84,6 @@ void InferenceEngine::registerFunction(const std::string& name,
   functions_[name] = std::move(fn);
 }
 
-void InferenceEngine::setPartitionSlot(const std::string& slot) {
-  facts_.setPartitionSlot(slot);
-}
-
-void InferenceEngine::scanFacts(
-    const Rule& rule, const Pattern& pattern, const Bindings& bindings,
-    const std::function<bool(const Fact&)>& visit) const {
-  if (facts_.partitioned() && !rule.crossPartition) {
-    for (const SlotTest& test : pattern.tests) {
-      if (test.slot != facts_.partitionSlot()) continue;
-      // A fact matching this pattern must carry the key slot with exactly
-      // this value, so the partition (plus globals, which lack the slot and
-      // fail matchPattern) is a complete candidate set.
-      if (test.kind == SlotTest::Kind::kLiteral) {
-        facts_.forEachInPartition(pattern.templateName, test.literal, visit);
-        return;
-      }
-      const auto bound = bindings.find(test.variable);
-      if (bound != bindings.end()) {
-        facts_.forEachInPartition(pattern.templateName, bound->second, visit);
-        return;
-      }
-      break;  // key slot tested but not yet bound: no partition to pick
-    }
-  }
-  facts_.forEach(pattern.templateName, visit);
-}
-
 void InferenceEngine::matchScan(const Rule& rule, std::size_t position,
                                 Bindings bindings, FactTuple factIds,
                                 const Fact* pinned, std::size_t pinnedPos,
@@ -133,7 +105,7 @@ void InferenceEngine::matchScan(const Rule& rule, std::size_t position,
   if (pattern.negated) {
     // (not ...): succeeds only if no live fact matches under these bindings.
     bool blocked = false;
-    scanFacts(rule, pattern, bindings, [&](const Fact& fact) {
+    facts_.forEach(pattern.templateName, [&](const Fact& fact) {
       Bindings scratch = bindings;
       if (matchPattern(pattern, fact, scratch)) {
         blocked = true;
@@ -157,7 +129,7 @@ void InferenceEngine::matchScan(const Rule& rule, std::size_t position,
     return;
   }
 
-  scanFacts(rule, pattern, bindings, [&](const Fact& fact) {
+  facts_.forEach(pattern.templateName, [&](const Fact& fact) {
     Bindings scratch = bindings;
     if (!matchPattern(pattern, fact, scratch)) return true;
     FactTuple ids = factIds;
@@ -186,63 +158,6 @@ void InferenceEngine::recomputeRule(const Rule& rule) {
   removeAgendaForRule(&rule);
   std::vector<Activation> found;
   matchScan(rule, 0, Bindings{}, FactTuple{}, nullptr, 0, found);
-  for (Activation& act : found) insertActivation(std::move(act));
-}
-
-const std::string* InferenceEngine::scopeVariable(const Rule& rule) const {
-  if (!facts_.partitioned() || rule.crossPartition) return nullptr;
-  const std::string* common = nullptr;
-  for (const Pattern& pattern : rule.lhs) {
-    const std::string* var = nullptr;
-    for (const SlotTest& test : pattern.tests) {
-      if (test.slot == facts_.partitionSlot() &&
-          test.kind == SlotTest::Kind::kVariable) {
-        var = &test.variable;
-        break;
-      }
-    }
-    if (var == nullptr) return nullptr;  // pattern not keyed on the slot
-    if (common == nullptr) {
-      common = var;
-    } else if (*common != *var) {
-      return nullptr;  // patterns keyed on different variables
-    }
-  }
-  return common;
-}
-
-void InferenceEngine::recomputeRuleScoped(const Rule& rule,
-                                          const std::string& var,
-                                          const Value& key) {
-  // Every pattern binds `var` to its fact's partition key (scopeVariable
-  // precondition), so an activation is affected by a delta in partition
-  // `key` exactly when all its facts carry that key.
-  const auto tuplesIt = agendaTuples_.find(&rule);
-  if (tuplesIt != agendaTuples_.end()) {
-    std::vector<FactTuple> scoped;
-    for (const FactTuple& tuple : tuplesIt->second) {
-      bool inScope = true;
-      for (const FactId id : tuple) {
-        if (id == kNoFact) continue;
-        const Fact* fact = facts_.find(id);
-        const Value* factKey =
-            fact == nullptr ? nullptr : facts_.partitionKey(*fact);
-        if (factKey == nullptr || !(*factKey == key)) {
-          inScope = false;
-          break;
-        }
-      }
-      if (inScope) scoped.push_back(tuple);
-    }
-    for (const FactTuple& tuple : scoped) eraseAgendaEntry(&rule, tuple);
-  }
-  // Pre-binding `var` restricts every scan position to this partition (the
-  // patterns bind it anyway, so the activations produced are identical to
-  // the in-partition subset of an unscoped recompute).
-  Bindings seed;
-  seed.emplace(var, key);
-  std::vector<Activation> found;
-  matchScan(rule, 0, std::move(seed), FactTuple{}, nullptr, 0, found);
   for (Activation& act : found) insertActivation(std::move(act));
 }
 
@@ -302,22 +217,11 @@ void InferenceEngine::onDelta(const FactDelta& delta) {
 
   if (delta.kind == FactDelta::Kind::kAssert) {
     // A fact matching a rule's negated pattern can invalidate existing
-    // activations; re-derive those rules wholesale — or, when the rule keys
-    // every pattern on the partition slot, only within the delta's
-    // partition. Rules that see the template only positively get the cheap
-    // seeded join.
+    // activations; re-derive those rules wholesale. Rules that see the
+    // template only positively get the cheap seeded join.
     const auto negIt = negatedByTemplate_.find(fact.templateName);
     if (negIt != negatedByTemplate_.end()) {
-      const Value* key = facts_.partitionKey(fact);
-      for (const Rule* rule : negIt->second) {
-        const std::string* var =
-            key == nullptr ? nullptr : scopeVariable(*rule);
-        if (var != nullptr) {
-          recomputeRuleScoped(*rule, *var, *key);
-        } else {
-          recomputeRule(*rule);
-        }
-      }
+      for (const Rule* rule : negIt->second) recomputeRule(*rule);
     }
     const auto posIt = positiveByTemplate_.find(fact.templateName);
     if (posIt != positiveByTemplate_.end()) {
@@ -355,19 +259,10 @@ void InferenceEngine::onDelta(const FactDelta& delta) {
     }
     firedByFact_.erase(firedIt);
   }
-  // A retract can satisfy negated patterns; re-derive those rules (scoped
-  // to the dead fact's partition when the rule keys all patterns on it).
+  // A retract can satisfy negated patterns; re-derive those rules.
   const auto negIt = negatedByTemplate_.find(fact.templateName);
   if (negIt != negatedByTemplate_.end()) {
-    const Value* key = facts_.partitionKey(fact);
-    for (const Rule* rule : negIt->second) {
-      const std::string* var = key == nullptr ? nullptr : scopeVariable(*rule);
-      if (var != nullptr) {
-        recomputeRuleScoped(*rule, *var, *key);
-      } else {
-        recomputeRule(*rule);
-      }
-    }
+    for (const Rule* rule : negIt->second) recomputeRule(*rule);
   }
 }
 

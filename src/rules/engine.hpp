@@ -51,11 +51,6 @@ struct RuleAction {
 struct Rule {
   std::string name;
   int salience = 0;
-  /// Partitioned engines (setPartitionSlot) match a rule within the delta
-  /// fact's partition plus the globals. A rule whose joins genuinely span
-  /// partitions opts out with (declare (cross-partition)): it is always
-  /// matched against all of working memory.
-  bool crossPartition = false;
   std::vector<Pattern> lhs;
   std::vector<ConditionTest> tests;
   std::vector<RuleAction> rhs;
@@ -82,19 +77,6 @@ class InferenceEngine {
   [[nodiscard]] std::size_t ruleCount() const { return rules_.size(); }
 
   void registerFunction(const std::string& name, EngineFunction fn);
-
-  /// Shard working memory and matching by an application key slot (e.g. the
-  /// host manager's "pid"). Join positions whose pattern constrains the key
-  /// slot to a known value (a literal, or a variable an earlier position
-  /// bound) scan only that partition plus the key-less (global) facts, so
-  /// matching cost tracks the touched application, not the whole host. The
-  /// derivation is per position from the pattern itself, so results are
-  /// byte-identical to unpartitioned matching for every rule; rules whose
-  /// joins genuinely span applications may still declare (cross-partition)
-  /// to force full scans. The agenda stays one totally-ordered set across
-  /// partitions, so conflict resolution is untouched.
-  void setPartitionSlot(const std::string& slot);
-  [[nodiscard]] bool partitioned() const { return facts_.partitioned(); }
 
   /// Observability hooks around every rule firing. The pre-hook sees the
   /// rule and its matched fact tuple (kNoFact at negated positions) and
@@ -184,34 +166,14 @@ class InferenceEngine {
 
   /// Enumerate matches of `rule` from `position` on. When `pinned` is given,
   /// the positive pattern at `pinnedPos` matches only that fact (delta
-  /// seeding); otherwise every position ranges over working memory (scoped
-  /// to one partition when the pattern determines the key — see scanFacts).
+  /// seeding); otherwise every position ranges over its template's facts.
   void matchScan(const Rule& rule, std::size_t position, Bindings bindings,
                  FactTuple factIds, const Fact* pinned, std::size_t pinnedPos,
                  std::vector<Activation>& out) const;
-  /// Visit candidate facts for one scan position. With partitioning on, a
-  /// pattern that pins the key slot to a literal or an already-bound
-  /// variable scans only that partition (plus globals, which cannot match a
-  /// key-slot test and are rejected by matchPattern); exactness does not
-  /// depend on any property of the rule.
-  void scanFacts(const Rule& rule, const Pattern& pattern,
-                 const Bindings& bindings,
-                 const std::function<bool(const Fact&)>& visit) const;
 
   void onDelta(const FactDelta& delta);
   void seedMatch(const Rule& rule, const Fact& fact);
   void recomputeRule(const Rule& rule);
-  /// The variable every LHS pattern binds the partition slot to, when the
-  /// rule keys all its patterns on one shared variable (nullptr otherwise).
-  /// Such a rule's activations partition cleanly by that variable's value,
-  /// enabling the scoped recompute below.
-  const std::string* scopeVariable(const Rule& rule) const;
-  /// Partition-scoped re-derivation for negated-pattern deltas: erase only
-  /// the pending activations whose facts all carry partition key `key`, then
-  /// re-match with `var` pre-bound to `key` so the scan never leaves the
-  /// partition. Exact only for rules where scopeVariable(rule) == &var.
-  void recomputeRuleScoped(const Rule& rule, const std::string& var,
-                           const Value& key);
   void insertActivation(Activation act);
   void eraseAgendaEntry(const Rule* rule, const FactTuple& tuple);
   void removeAgendaForRule(const Rule* rule);

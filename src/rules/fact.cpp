@@ -11,6 +11,15 @@ inline std::size_t hashCombine(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+/// True when `fact` carries every slot of `slots` with an equal value.
+bool hasSlots(const Fact& fact, const SlotMap& slots) {
+  for (const auto& [name, value] : slots) {
+    const Value* actual = fact.slot(name);
+    if (actual == nullptr || !(*actual == value)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string Fact::toString() const {
@@ -32,109 +41,29 @@ std::size_t FactRepository::contentHash(const std::string& templateName,
   return h;
 }
 
-std::size_t FactRepository::alphaHash(const std::string& templateName,
-                                      const std::string& slot,
-                                      const Value& value) {
-  std::size_t h = std::hash<std::string>{}(templateName);
-  h = hashCombine(h, std::hash<std::string>{}(slot) ^ 0x517cc1b727220a95ULL);
-  return hashCombine(h, value.hash());
-}
-
-void FactRepository::partitionIndexInsert(const Fact& fact) {
-  if (partitionSlot_.empty()) return;
-  const Value* key = fact.slot(partitionSlot_);
-  if (key == nullptr) {
-    globalByTemplate_[fact.templateName].emplace(fact.id, &fact);
-  } else {
-    partition_[alphaHash(fact.templateName, partitionSlot_, *key)].emplace(
-        fact.id, &fact);
-  }
-}
-
-void FactRepository::partitionIndexRemove(const Fact& fact) {
-  if (partitionSlot_.empty()) return;
-  const Value* key = fact.slot(partitionSlot_);
-  if (key == nullptr) {
-    const auto it = globalByTemplate_.find(fact.templateName);
-    if (it != globalByTemplate_.end()) {
-      it->second.erase(fact.id);
-      if (it->second.empty()) globalByTemplate_.erase(it);
-    }
-  } else {
-    const auto it =
-        partition_.find(alphaHash(fact.templateName, partitionSlot_, *key));
-    if (it != partition_.end()) {
-      it->second.erase(fact.id);
-      if (it->second.empty()) partition_.erase(it);
+FactId FactRepository::assertFact(const std::string& templateName,
+                                  SlotMap slots) {
+  const std::size_t hash = contentHash(templateName, slots);
+  const auto bucket = byContent_.find(hash);
+  if (bucket != byContent_.end()) {
+    for (const FactId id : bucket->second) {
+      const Fact& fact = live_.at(id);
+      if (fact.templateName == templateName && fact.slots == slots) return id;
     }
   }
-}
-
-void FactRepository::setPartitionSlot(std::string slot) {
-  partitionSlot_ = std::move(slot);
-  partition_.clear();
-  globalByTemplate_.clear();
-  for (const auto& [id, fact] : live_) {
-    (void)id;
-    partitionIndexInsert(fact);
-  }
-}
-
-const Value* FactRepository::partitionKey(const Fact& fact) const {
-  return partitionSlot_.empty() ? nullptr : fact.slot(partitionSlot_);
-}
-
-void FactRepository::forEachInPartition(
-    const std::string& templateName, const Value& key,
-    const std::function<bool(const Fact&)>& visit) const {
-  // Two id-ordered sources merged in id order: the keyed partition (bucket
-  // may hold hash collisions, verified per fact) and the global facts of the
-  // template. Matches forEach's visiting order restricted to this subset.
-  static const std::map<FactId, const Fact*> kEmpty;
-  const auto keyedIt =
-      partition_.find(alphaHash(templateName, partitionSlot_, key));
-  const auto globalIt = globalByTemplate_.find(templateName);
-  const auto& keyed = keyedIt == partition_.end() ? kEmpty : keyedIt->second;
-  const auto& global =
-      globalIt == globalByTemplate_.end() ? kEmpty : globalIt->second;
-
-  auto k = keyed.begin();
-  auto g = global.begin();
-  while (k != keyed.end() || g != global.end()) {
-    if (g == global.end() || (k != keyed.end() && k->first < g->first)) {
-      const Fact& fact = *k->second;
-      ++k;
-      if (fact.templateName != templateName) continue;  // hash collision
-      const Value* actual = fact.slot(partitionSlot_);
-      if (actual == nullptr || !(*actual == key)) continue;
-      if (!visit(fact)) return;
-    } else {
-      if (!visit(*g->second)) return;
-      ++g;
-    }
-  }
-}
-
-FactId FactRepository::insert(const std::string& templateName, SlotMap slots) {
   const FactId id = nextId_++;
   Fact f;
   f.id = id;
   f.templateName = templateName;
   f.slots = std::move(slots);
-  const auto [it, inserted] = live_.emplace(id, std::move(f));
-  const Fact& stored = it->second;
-  (void)inserted;
+  const Fact& stored = live_.emplace(id, std::move(f)).first->second;
   byTemplate_[templateName].emplace(id, &stored);
-  byContent_[contentHash(templateName, stored.slots)].push_back(id);
-  for (const auto& [name, value] : stored.slots) {
-    alpha_[alphaHash(templateName, name, value)].emplace(id, &stored);
-  }
-  partitionIndexInsert(stored);
+  byContent_[hash].push_back(id);
   publish(FactDelta::Kind::kAssert, stored);
   return id;
 }
 
-bool FactRepository::remove(FactId id) {
+bool FactRepository::retract(FactId id) {
   const auto it = live_.find(id);
   if (it == live_.end()) return false;
   // Move the fact out so the retract delta can refer to it after the indexes
@@ -153,35 +82,7 @@ bool FactRepository::remove(FactId id) {
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
     if (ids.empty()) byContent_.erase(contentIt);
   }
-  for (const auto& [name, value] : gone.slots) {
-    const auto alphaIt = alpha_.find(alphaHash(gone.templateName, name, value));
-    if (alphaIt != alpha_.end()) {
-      alphaIt->second.erase(id);
-      if (alphaIt->second.empty()) alpha_.erase(alphaIt);
-    }
-  }
-  partitionIndexRemove(gone);
   publish(FactDelta::Kind::kRetract, gone);
-  return true;
-}
-
-FactId FactRepository::assertFact(const std::string& templateName,
-                                  SlotMap slots) {
-  const auto bucket = byContent_.find(contentHash(templateName, slots));
-  if (bucket != byContent_.end()) {
-    for (const FactId id : bucket->second) {
-      const Fact& fact = live_.at(id);
-      if (fact.templateName == templateName && fact.slots == slots) return id;
-    }
-  }
-  const FactId id = insert(templateName, std::move(slots));
-  notifyChange();
-  return id;
-}
-
-bool FactRepository::retract(FactId id) {
-  if (!remove(id)) return false;
-  notifyChange();
   return true;
 }
 
@@ -192,22 +93,19 @@ FactId FactRepository::modify(FactId id, const SlotMap& changes) {
   for (const auto& [slot, value] : changes) updated[slot] = value;
   if (updated == it->second.slots) return id;  // no-op: keep id, no deltas
   const std::string templateName = it->second.templateName;
-  remove(id);
+  retract(id);
   return assertFact(templateName, std::move(updated));
 }
 
-std::size_t FactRepository::retractTemplate(const std::string& templateName) {
+std::size_t FactRepository::retractWhere(const std::string& templateName,
+                                         const SlotMap& slots) {
+  // Collect first: each retract edits the template index being walked.
   std::vector<FactId> ids;
-  const auto it = byTemplate_.find(templateName);
-  if (it != byTemplate_.end()) {
-    ids.reserve(it->second.size());
-    for (const auto& [id, fact] : it->second) {
-      (void)fact;
-      ids.push_back(id);
-    }
-  }
-  for (const FactId id : ids) remove(id);
-  if (!ids.empty()) notifyChange();
+  forEach(templateName, [&](const Fact& fact) {
+    if (hasSlots(fact, slots)) ids.push_back(fact.id);
+    return true;
+  });
+  for (const FactId id : ids) retract(id);
   return ids.size();
 }
 
@@ -240,47 +138,18 @@ void FactRepository::forEach(
   }
 }
 
-std::vector<const Fact*> FactRepository::all() const {
-  std::vector<const Fact*> out;
-  out.reserve(live_.size());
-  for (const auto& [id, fact] : live_) {
-    (void)id;
-    out.push_back(&fact);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Fact* a, const Fact* b) { return a->id < b->id; });
-  return out;
-}
-
 const Fact* FactRepository::findWhere(const std::string& templateName,
                                       const SlotMap& slots) const {
-  if (slots.empty()) {
-    const auto it = byTemplate_.find(templateName);
-    return it == byTemplate_.end() ? nullptr : it->second.begin()->second;
-  }
-  // Probe the alpha bucket of the first constrained slot; candidates still
-  // verify every slot (the bucket may hold hash collisions).
-  const auto& [probeSlot, probeValue] = *slots.begin();
-  const auto bucket = alpha_.find(alphaHash(templateName, probeSlot, probeValue));
-  if (bucket == alpha_.end()) return nullptr;
-  for (const auto& [id, fact] : bucket->second) {
-    (void)id;
-    if (fact->templateName != templateName) continue;
-    bool ok = true;
-    for (const auto& [name, value] : slots) {
-      const Value* actual = fact->slot(name);
-      if (actual == nullptr || !(*actual == value)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return fact;
-  }
-  return nullptr;
+  const Fact* found = nullptr;
+  forEach(templateName, [&](const Fact& fact) {
+    if (!hasSlots(fact, slots)) return true;
+    found = &fact;
+    return false;
+  });
+  return found;
 }
 
 void FactRepository::clear() {
-  if (live_.empty()) return;
   std::vector<FactId> ids;
   ids.reserve(live_.size());
   for (const auto& [id, fact] : live_) {
@@ -288,12 +157,7 @@ void FactRepository::clear() {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
-  for (const FactId id : ids) remove(id);
-  notifyChange();
-}
-
-void FactRepository::notifyChange() {
-  if (listener_) listener_();
+  for (const FactId id : ids) retract(id);
 }
 
 void FactRepository::publish(FactDelta::Kind kind, const Fact& fact) {

@@ -1,8 +1,8 @@
 // Template facts and the fact repository (the engine's working memory).
 //
-// Working memory is fully indexed: facts are reachable by id, by template
-// name (ordered by id, i.e. by recency), by (template, slot, value) alpha
-// key, and by content hash (duplicate suppression). Mutations publish
+// Working memory has three indexes: facts are reachable by id, by template
+// name (ordered by id, i.e. by recency), and by content hash (duplicate
+// suppression). Every search walks one template's facts. Mutations publish
 // per-fact deltas so the inference engine can maintain its agenda
 // incrementally instead of re-matching the whole rule base.
 #pragma once
@@ -45,12 +45,11 @@ struct FactDelta {
   const Fact* fact = nullptr;
 };
 
-/// Working memory: assert/retract/modify with duplicate suppression, indexed
-/// lookup, and change listeners (the engine subscribes to the delta stream to
-/// maintain its agenda incrementally).
+/// Working memory: assert/retract/modify with duplicate suppression, lookup
+/// by template, and a delta stream (the engine subscribes to it to maintain
+/// its agenda incrementally).
 class FactRepository {
  public:
-  using Listener = std::function<void()>;
   using DeltaListener = std::function<void(const FactDelta&)>;
 
   FactRepository() = default;
@@ -72,13 +71,15 @@ class FactRepository {
   /// that already fired on it do not re-activate).
   FactId modify(FactId id, const SlotMap& changes);
 
-  /// Retract every fact of the given template; returns how many went.
-  std::size_t retractTemplate(const std::string& templateName);
+  /// Retract every fact of a template that carries all the given slot
+  /// values (the findWhere match; empty `slots` matches every fact), in id
+  /// order. Returns how many went.
+  std::size_t retractWhere(const std::string& templateName,
+                           const SlotMap& slots);
 
   [[nodiscard]] const Fact* find(FactId id) const;
   [[nodiscard]] std::vector<const Fact*> byTemplate(
       const std::string& templateName) const;
-  [[nodiscard]] std::vector<const Fact*> all() const;
   [[nodiscard]] std::size_t size() const { return live_.size(); }
 
   /// Visit every live fact of a template in recency (id) order, without
@@ -86,15 +87,10 @@ class FactRepository {
   void forEach(const std::string& templateName,
                const std::function<bool(const Fact&)>& visit) const;
 
-  /// First live fact matching template + all given slot values (queries from
-  /// manager code); nullptr if none. Served from the (template, slot, value)
-  /// alpha index: only facts matching the first given slot are examined.
+  /// Oldest live fact of a template carrying all the given slot values
+  /// (queries from manager code); nullptr if none.
   [[nodiscard]] const Fact* findWhere(const std::string& templateName,
                                       const SlotMap& slots) const;
-
-  /// Coarse change ping (legacy interface): invoked once per mutating call
-  /// that changed working memory.
-  void setChangeListener(Listener listener) { listener_ = std::move(listener); }
 
   /// Per-fact delta stream; fires once per asserted/retracted fact, after
   /// all indexes reflect the change (a modify publishes retract + assert).
@@ -102,60 +98,20 @@ class FactRepository {
     deltaListener_ = std::move(listener);
   }
 
-  /// Partition working memory by a slot name: facts carrying the slot land
-  /// in the partition keyed by its value; facts without it are global.
-  /// forEachInPartition then visits one partition plus the globals — on a
-  /// host managing thousands of applications, rule joins keyed on the slot
-  /// stop scanning every other application's facts. Existing facts are
-  /// re-indexed; an empty slot name turns partitioning off again.
-  void setPartitionSlot(std::string slot);
-  [[nodiscard]] const std::string& partitionSlot() const {
-    return partitionSlot_;
-  }
-  [[nodiscard]] bool partitioned() const { return !partitionSlot_.empty(); }
-
-  /// The partition key of a fact (nullptr: global / partitioning off).
-  [[nodiscard]] const Value* partitionKey(const Fact& fact) const;
-
-  /// Visit every live fact of a template within one partition plus the
-  /// global set, in recency (id) order — the same order forEach would visit
-  /// that subset in. Requires setPartitionSlot.
-  void forEachInPartition(const std::string& templateName, const Value& key,
-                          const std::function<bool(const Fact&)>& visit) const;
-
   void clear();
 
  private:
-  FactId insert(const std::string& templateName, SlotMap slots);
-  /// Remove `id` from all indexes and publish the retract delta; the legacy
-  /// listener is NOT notified (callers decide how to coalesce).
-  bool remove(FactId id);
-  void notifyChange();
   void publish(FactDelta::Kind kind, const Fact& fact);
 
   static std::size_t contentHash(const std::string& templateName,
                                  const SlotMap& slots);
-  static std::size_t alphaHash(const std::string& templateName,
-                               const std::string& slot, const Value& value);
-  void partitionIndexInsert(const Fact& fact);
-  void partitionIndexRemove(const Fact& fact);
 
   std::unordered_map<FactId, Fact> live_;
   // Template index: id-ordered so iteration preserves assertion order.
   std::unordered_map<std::string, std::map<FactId, const Fact*>> byTemplate_;
   // Duplicate-suppression index: content hash -> candidate ids.
   std::unordered_map<std::size_t, std::vector<FactId>> byContent_;
-  // Alpha index: (template, slot, value) hash -> id-ordered facts.
-  std::unordered_map<std::size_t, std::map<FactId, const Fact*>> alpha_;
-  // Partition index (setPartitionSlot): (template, key) hash -> id-ordered
-  // keyed facts; facts lacking the slot sit in globalByTemplate_. Both empty
-  // while partitioning is off.
-  std::unordered_map<std::size_t, std::map<FactId, const Fact*>> partition_;
-  std::unordered_map<std::string, std::map<FactId, const Fact*>>
-      globalByTemplate_;
-  std::string partitionSlot_;
   FactId nextId_ = 1;
-  Listener listener_;
   DeltaListener deltaListener_;
 };
 

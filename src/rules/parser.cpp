@@ -225,18 +225,11 @@ Rule parseDefrule(const Sexp& s) {
         }
         for (std::size_t d = 1; d < item.items.size(); ++d) {
           const Sexp& decl = item.items[d];
-          if (!decl.isAtom && decl.items.size() == 2 &&
-              decl.items[0].isAtom && decl.items[0].atom == "salience") {
-            rule.salience = intOf(decl.items[1], "salience");
-            continue;
+          if (decl.isAtom || decl.items.size() != 2 || !decl.items[0].isAtom ||
+              decl.items[0].atom != "salience") {
+            throw RuleParseError("malformed declare in rule " + rule.name);
           }
-          if (!decl.isAtom && decl.items.size() == 1 &&
-              decl.items[0].isAtom &&
-              decl.items[0].atom == "cross-partition") {
-            rule.crossPartition = true;
-            continue;
-          }
-          throw RuleParseError("malformed declare in rule " + rule.name);
+          rule.salience = intOf(decl.items[1], "salience");
         }
         continue;
       }

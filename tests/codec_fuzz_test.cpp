@@ -272,15 +272,27 @@ oblig NotifyQoSViolation {
   policy::PolicySpec either = example;
   either.name = "EitherBound";
   either.combinator = policy::PolicySpec::Combinator::kDisjunction;
-  // PolicySpec::toString drops a nested expression, so it is no complete
-  // serializer: obligations are checked for typed errors only.
-  fuzz("oblig", {example.toString() + either.toString()},
-       [](const std::string& text) {
+  policy::PolicySpec nested = example;
+  nested.name = "NestedBound";
+  nested.customExpr = policy::BoolExpr::notOf(policy::BoolExpr::orOf(
+      {policy::BoolExpr::var(1), policy::BoolExpr::notOf(
+                                     policy::BoolExpr::var(0))}));
+  const auto print = [](const std::vector<policy::PolicySpec>& specs) {
+    std::string out;
+    for (const policy::PolicySpec& spec : specs) out += spec.toString();
+    return out;
+  };
+  fuzz("oblig", {example.toString() + either.toString() + nested.toString()},
+       [&](const std::string& text) {
+         std::vector<policy::PolicySpec> once;
          try {
-           return !policy::parseObligations(text).empty();
+           once = policy::parseObligations(text);
          } catch (const policy::PolicyParseError&) {
            return false;
          }
+         const std::string canonical = print(once);
+         EXPECT_EQ(print(policy::parseObligations(canonical)), canonical);
+         return !once.empty();
        });
 }
 

@@ -533,6 +533,16 @@ TEST(Ldif, SerializeLeadsWithObjectClass) {
   e.addValue("objectClass", "top");
   const std::string text = toLdif(e);
   EXPECT_LT(text.find("objectClass: top"), text.find("zattr: v"));
+
+  // An attribute named changetype stays an attribute of an add record.
+  Entry odd(Dn::parse("cn=x,o=uwo"));
+  odd.addValue("changetype", "delete");
+  odd.addValue("cn", "x");
+  const auto records = parseLdif(toLdif(odd));
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].change, LdifRecord::Change::kAdd);
+  EXPECT_EQ(records[0].entry.dn(), odd.dn());
+  EXPECT_EQ(records[0].entry.attributes(), odd.attributes());
 }
 
 }  // namespace

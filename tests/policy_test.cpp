@@ -222,12 +222,24 @@ TEST(ObligParser, ErrorsAreDiagnosed) {
 }
 
 TEST(ObligParser, RoundTripThroughToString) {
-  const PolicySpec spec = parseObligation(kExample1);
-  const PolicySpec again = parseObligation(spec.toString());
-  EXPECT_EQ(again.name, spec.name);
-  EXPECT_EQ(again.conditions.size(), spec.conditions.size());
-  EXPECT_EQ(again.actions.size(), spec.actions.size());
-  EXPECT_EQ(again.combinator, spec.combinator);
+  // Example 1 is a flat conjunction; the second policy nests OR and NOT.
+  const std::string nested =
+      "oblig Nested {\n subject x\n"
+      " on not ((a > 1 AND b < 2) OR c > 3)\n do s->read(out a)\n}";
+  for (const std::string& text : {std::string(kExample1), nested}) {
+    SCOPED_TRACE(text);
+    const PolicySpec spec = parseObligation(text);
+    const PolicySpec again = parseObligation(spec.toString());
+    EXPECT_EQ(again.name, spec.name);
+    EXPECT_EQ(again.actions.size(), spec.actions.size());
+    EXPECT_EQ(again.combinator, spec.combinator);
+    ASSERT_EQ(again.conditions.size(), spec.conditions.size());
+    for (std::size_t i = 0; i < spec.conditions.size(); ++i) {
+      EXPECT_EQ(again.conditions[i].toString(), spec.conditions[i].toString());
+    }
+    EXPECT_EQ(again.conditionExpr().toString(),
+              spec.conditionExpr().toString());
+  }
 }
 
 TEST(ObligParser, ReferencedAttributesDeduplicated) {

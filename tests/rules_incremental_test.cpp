@@ -444,11 +444,15 @@ TEST(IncrementalParity, ChurnedEngineMatchesFreshEngine) {
   EXPECT_EQ(churnedFired, (std::vector<std::int64_t>{0, 4}));
 }
 
-// ---- Per-application partitioned working memory ----
+// ---- Many applications in one working memory ----
 
-// The partitioning contract: sharding the repository by an application key
-// is a pure performance knob — every rule fires in the identical order with
-// the identical bindings whether the slot is partitioned or not.
+// Working memory once had an optional per-pid partition index; the suite
+// keeps its name. These tests pin what the one template-scan path must do
+// when facts of many pids (and pid-less ones) share working memory.
+
+// Negation, modify and retract mid-stream. The expected sequence is the one
+// the partitioned and the unpartitioned engine both printed before the
+// partition index was deleted.
 TEST(PartitionedMemory, FiringOrderIdenticalToUnpartitioned) {
   const std::string rules = R"(
     (defrule hot
@@ -463,63 +467,54 @@ TEST(PartitionedMemory, FiringOrderIdenticalToUnpartitioned) {
       =>
       (call g ?p ?s)))";
 
-  auto drive = [&](InferenceEngine& e, std::vector<std::string>& fired) {
-    e.registerFunction("f", [&](const std::vector<Value>& args) {
-      fired.push_back("f:" + std::to_string(args[0].asInt()) + "," +
-                      std::to_string(args[1].asInt()));
-    });
-    e.registerFunction("g", [&](const std::vector<Value>& args) {
-      fired.push_back("g:" + std::to_string(args[0].asInt()) + "," +
-                      std::to_string(args[1].asInt()));
-    });
-    loadRules(e, rules);
-    std::vector<FactId> ids;
-    for (int p = 0; p < 8; ++p) {
-      ids.push_back(e.facts().assertFact(
-          "metric", {{"pid", Value::integer(p)}, {"v", Value::integer(20)}}));
-      e.facts().assertFact(
-          "session", {{"pid", Value::integer(p)}, {"s", Value::integer(p * 7)}});
-    }
-    e.facts().assertFact("quiet", {{"pid", Value::integer(3)}});
-    e.run();
-    // Churn mid-stream: retract a blocker, modify values, kill a partition.
-    e.facts().assertFact("quiet", {{"pid", Value::integer(5)}});
-    const Fact* q3 = e.facts().findWhere("quiet", {{"pid", Value::integer(3)}});
-    ASSERT_NE(q3, nullptr);
-    e.facts().retract(q3->id);
-    e.facts().modify(ids[1], {{"v", Value::integer(25)}});
-    e.facts().retract(ids[6]);
-    e.run();
-  };
+  InferenceEngine e;
+  std::vector<std::string> fired;
+  e.registerFunction("f", [&](const std::vector<Value>& args) {
+    fired.push_back("f:" + std::to_string(args[0].asInt()) + "," +
+                    std::to_string(args[1].asInt()));
+  });
+  e.registerFunction("g", [&](const std::vector<Value>& args) {
+    fired.push_back("g:" + std::to_string(args[0].asInt()) + "," +
+                    std::to_string(args[1].asInt()));
+  });
+  loadRules(e, rules);
+  std::vector<FactId> ids;
+  for (int p = 0; p < 8; ++p) {
+    ids.push_back(e.facts().assertFact(
+        "metric", {{"pid", Value::integer(p)}, {"v", Value::integer(20)}}));
+    e.facts().assertFact(
+        "session", {{"pid", Value::integer(p)}, {"s", Value::integer(p * 7)}});
+  }
+  e.facts().assertFact("quiet", {{"pid", Value::integer(3)}});
+  e.run();
+  // Churn mid-stream: retract a blocker, modify values, kill one pid.
+  e.facts().assertFact("quiet", {{"pid", Value::integer(5)}});
+  const Fact* q3 = e.facts().findWhere("quiet", {{"pid", Value::integer(3)}});
+  ASSERT_NE(q3, nullptr);
+  e.facts().retract(q3->id);
+  e.facts().modify(ids[1], {{"v", Value::integer(25)}});
+  e.facts().retract(ids[6]);
+  e.run();
 
-  InferenceEngine plain;
-  std::vector<std::string> plainFired;
-  drive(plain, plainFired);
-
-  InferenceEngine parted;
-  parted.setPartitionSlot("pid");
-  ASSERT_TRUE(parted.partitioned());
-  std::vector<std::string> partedFired;
-  drive(parted, partedFired);
-
-  EXPECT_EQ(plainFired, partedFired);  // exact order, not just the same set
-  EXPECT_FALSE(plainFired.empty());
+  // Exact order, not just the same set.
+  EXPECT_EQ(fired, (std::vector<std::string>{
+                       "g:7,49", "f:7,20", "g:6,42", "f:6,20", "g:5,35",
+                       "f:5,20", "g:4,28", "f:4,20", "g:3,21", "g:2,14",
+                       "f:2,20", "g:1,7", "f:1,20", "g:0,0", "f:0,20",
+                       "f:1,25", "g:1,7", "f:3,20"}));
 }
 
-// Rules over key-less (global) templates keep matching: globals live outside
-// every partition and a key-slot test can never select them, so their scans
-// stay full-table.
+// A rule joining a pid-less (global) fact against every pid's facts sees
+// all of them.
 TEST(PartitionedMemory, GlobalFactsJoinPartitionedOnes) {
   const std::string rules = R"(
     (defrule breach-touches-all
-      (declare (cross-partition))
       (slo-breach (name ?n))
       (metric (pid ?p) (v ?v))
       (test (> ?v 10))
       =>
       (call hit ?p)))";
   InferenceEngine e;
-  e.setPartitionSlot("pid");
   std::vector<std::int64_t> hits;
   e.registerFunction("hit", [&](const std::vector<Value>& args) {
     hits.push_back(args[0].asInt());
@@ -536,51 +531,28 @@ TEST(PartitionedMemory, GlobalFactsJoinPartitionedOnes) {
   EXPECT_EQ(hits, (std::vector<std::int64_t>{0, 1, 2, 3}));
 }
 
-// A join across two different partitions (two pid variables) must still see
-// every pair — the unbound key slot forces a full scan, declared or not.
+// A join across two different pids (two pid variables) sees every pair.
 TEST(PartitionedMemory, CrossPartitionJoinsStillSeeEveryPair) {
-  const std::string rules = R"(
+  InferenceEngine e;
+  std::vector<std::string> pairs;
+  e.registerFunction("pair", [&](const std::vector<Value>& args) {
+    pairs.push_back(std::to_string(args[0].asInt()) + "<" +
+                    std::to_string(args[1].asInt()));
+  });
+  loadRules(e, R"(
     (defrule pairs
       (metric (pid ?a) (v ?va))
       (metric (pid ?b) (v ?vb))
       (test (< ?a ?b))
       =>
-      (call pair ?a ?b)))";
-  for (bool declare : {false, true}) {
-    InferenceEngine e;
-    e.setPartitionSlot("pid");
-    std::vector<std::string> pairs;
-    e.registerFunction("pair", [&](const std::vector<Value>& args) {
-      pairs.push_back(std::to_string(args[0].asInt()) + "<" +
-                      std::to_string(args[1].asInt()));
-    });
-    std::string text = rules;
-    if (declare) {
-      const std::size_t at = text.find("(metric");
-      text.insert(at, "(declare (cross-partition)) ");
-    }
-    loadRules(e, text);
-    for (int p = 0; p < 3; ++p) {
-      e.facts().assertFact(
-          "metric", {{"pid", Value::integer(p)}, {"v", Value::integer(p)}});
-    }
-    e.run();
-    std::sort(pairs.begin(), pairs.end());
-    EXPECT_EQ(pairs, (std::vector<std::string>{"0<1", "0<2", "1<2"}))
-        << "declare=" << declare;
+      (call pair ?a ?b)))");
+  for (int p = 0; p < 3; ++p) {
+    e.facts().assertFact(
+        "metric", {{"pid", Value::integer(p)}, {"v", Value::integer(p)}});
   }
-}
-
-TEST(PartitionedMemory, DeclareCrossPartitionParses) {
-  InferenceEngine e;
-  const auto names = loadRules(e, R"(
-    (defrule spanning
-      (declare (salience 30) (cross-partition))
-      (a (k ?k))
-      =>
-      (call noop)))");
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_TRUE(e.hasRule("spanning"));
+  e.run();
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(pairs, (std::vector<std::string>{"0<1", "0<2", "1<2"}));
 }
 
 TEST(PartitionedMemory, MalformedDeclareRejected) {
@@ -592,28 +564,15 @@ TEST(PartitionedMemory, MalformedDeclareRejected) {
       =>
       (call noop)))"),
                std::runtime_error);
-}
-
-TEST(PartitionedMemory, RepositoryPartitionScanVisitsKeyPlusGlobals) {
-  FactRepository repo;
-  repo.setPartitionSlot("pid");
-  std::vector<FactId> order;
-  order.push_back(repo.assertFact(
-      "m", {{"pid", Value::integer(1)}, {"x", Value::integer(10)}}));
-  order.push_back(repo.assertFact("m", {{"x", Value::integer(99)}}));  // global
-  order.push_back(repo.assertFact(
-      "m", {{"pid", Value::integer(2)}, {"x", Value::integer(20)}}));
-  order.push_back(repo.assertFact(
-      "m", {{"pid", Value::integer(1)}, {"x", Value::integer(11)}}));
-
-  std::vector<std::int64_t> seen;
-  repo.forEachInPartition("m", Value::integer(1), [&](const Fact& f) {
-    seen.push_back(f.slot("x")->asInt());
-    return true;
-  });
-  // Partition 1 plus the key-less global, in assertion (id) order; the
-  // pid=2 fact is invisible.
-  EXPECT_EQ(seen, (std::vector<std::int64_t>{10, 99, 11}));
+  // The opt-out declare of the deleted partition index is malformed now.
+  EXPECT_THROW(loadRules(e, R"(
+    (defrule spanning
+      (declare (salience 30) (cross-partition))
+      (a (k ?k))
+      =>
+      (call noop)))"),
+               RuleParseError);
+  EXPECT_FALSE(e.hasRule("spanning"));
 }
 
 }  // namespace

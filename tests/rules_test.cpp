@@ -103,7 +103,7 @@ TEST(FactRepository, RetractTemplateRemovesAll) {
   repo.assertFact("a", {{"i", Value::integer(1)}});
   repo.assertFact("a", {{"i", Value::integer(2)}});
   repo.assertFact("b", {});
-  EXPECT_EQ(repo.retractTemplate("a"), 2u);
+  EXPECT_EQ(repo.retractWhere("a", {}), 2u);
   EXPECT_EQ(repo.size(), 1u);
 }
 
@@ -115,15 +115,10 @@ TEST(FactRepository, FindWhereMatchesSubset) {
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(*f->slot("v"), Value::real(3));
   EXPECT_EQ(repo.findWhere("m", {{"pid", Value::integer(9)}}), nullptr);
-}
-
-TEST(FactRepository, ChangeListenerFires) {
-  FactRepository repo;
-  int changes = 0;
-  repo.setChangeListener([&] { ++changes; });
-  const FactId id = repo.assertFact("f", {});
-  repo.retract(id);
-  EXPECT_EQ(changes, 2);
+  // retractWhere shares the match: only the pid-2 fact goes.
+  EXPECT_EQ(repo.retractWhere("m", {{"pid", Value::integer(2)}}), 1u);
+  EXPECT_EQ(repo.findWhere("m", {{"pid", Value::integer(2)}}), nullptr);
+  EXPECT_NE(repo.findWhere("m", {{"pid", Value::integer(1)}}), nullptr);
 }
 
 // ---- Pattern matching ----
@@ -334,7 +329,7 @@ TEST(Engine, NegatedPatternBlocksWhenFactExists) {
   e.facts().assertFact("suppressed", {});
   e.run();
   EXPECT_EQ(fired, 0);
-  e.facts().retractTemplate("suppressed");
+  e.facts().retractWhere("suppressed", {});
   e.run();
   EXPECT_EQ(fired, 1);
 }
@@ -503,7 +498,7 @@ TEST(BackwardChaining, ChainsThroughMultipleRules) {
     (defrule step2 (b (x ?v)) => (assert (c (x ?v)))))");
   e.facts().assertFact("a", {{"x", Value::integer(1)}});
   EXPECT_TRUE(e.provable("c", {{"x", Value::integer(1)}}));
-  e.facts().retractTemplate("a");
+  e.facts().retractWhere("a", {});
   EXPECT_FALSE(e.provable("c", {{"x", Value::integer(1)}}));
 }
 

@@ -42,7 +42,7 @@ class PacedNode : public net::NetNode {
   PacedNode(net::Network& network, std::string name)
       : NetNode(network, std::move(name)) {}
 
-  void onPacket(net::Packet packet) override {
+  void onPacket(net::Packet&& packet) override {
     ++received_;
     bytes_ += packet.bytes;
   }
@@ -60,7 +60,6 @@ class PacedNode : public net::NetNode {
     p.src = id();
     p.dst = dst;
     p.bytes = 900;
-    p.injectedAt = network().sim().now();
     network().forward(id(), std::move(p));
     network().sim().after(period, [this, dst, period] { pace(dst, period); });
   }

@@ -218,6 +218,7 @@ void Network::sendMessage(NodeId srcNic, NodeId dstNic, int dstPort,
       ((static_cast<std::uint64_t>(srcNic) + 1) << 40) |
       ++msgSeq_[static_cast<std::size_t>(srcNic)];
   const std::int64_t total = std::max<std::int64_t>(m.bytes, 1);
+  auto box = std::make_unique<osim::Message>(std::move(m));
   std::int64_t remaining = total;
   while (remaining > 0) {
     const std::int64_t fragment = std::min(remaining, mtu_);
@@ -229,9 +230,7 @@ void Network::sendMessage(NodeId srcNic, NodeId dstNic, int dstPort,
     p.messageId = messageId;
     p.bytes = fragment;
     p.messageBytes = total;
-    p.lastFragment = (remaining == 0);
-    p.injectedAt = sim_.now();
-    if (p.lastFragment) p.message = std::move(m);
+    if (remaining == 0) p.message = std::move(box);
     forward(srcNic, std::move(p));
   }
 }

@@ -20,20 +20,21 @@ osim::Socket* Nic::boundSocket(int port) {
   return it == bindings_.end() ? nullptr : it->second.get();
 }
 
-void Nic::onPacket(Packet packet) {
+void Nic::onPacket(Packet&& packet) {
   if (!host_.isUp()) {
     // A crashed host answers nothing: frames die on the wire until restart.
     ++hostDown_;
     return;
   }
   bool corrupted = packet.corrupted;
-  // A message that fits in one fragment has nothing to reassemble.
-  if (!packet.lastFragment || packet.bytes != packet.messageBytes) {
+  // Only a message's last fragment carries it. A message that fits in one
+  // fragment has nothing to reassemble.
+  if (!packet.message || packet.bytes != packet.messageBytes) {
     auto it = partial_.try_emplace(packet.messageId).first;
     it->second.bytes += packet.bytes;
     it->second.corrupted = it->second.corrupted || packet.corrupted;
 
-    if (!packet.lastFragment) return;
+    if (!packet.message) return;
 
     const bool complete = (it->second.bytes == packet.messageBytes);
     corrupted = it->second.corrupted;
@@ -54,8 +55,8 @@ void Nic::onPacket(Packet packet) {
     ++unbound_;
     return;
   }
-  packet.message.bytes = packet.messageBytes;
-  bound->second->deliver(std::move(packet.message));
+  packet.message->bytes = packet.messageBytes;
+  bound->second->deliver(std::move(*packet.message));
 }
 
 }  // namespace softqos::net

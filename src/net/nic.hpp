@@ -23,7 +23,7 @@ class Nic : public NetNode {
   void unbind(int port);
   [[nodiscard]] osim::Socket* boundSocket(int port);
 
-  void onPacket(Packet packet) override;
+  void onPacket(Packet&& packet) override;
 
   /// Messages whose fragments were lost and never completed.
   [[nodiscard]] std::uint64_t incompleteMessages() const { return incomplete_; }

@@ -22,8 +22,9 @@ class NetNode {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Network& network() { return network_; }
 
-  /// A packet arrived over an attached channel.
-  virtual void onPacket(Packet packet) = 0;
+  /// A packet arrived over an attached channel. The packet stays owned by
+  /// the delivering event; a node that keeps or forwards it moves from it.
+  virtual void onPacket(Packet&& packet) = 0;
 
   /// True for nodes that transit other nodes' traffic (switches). Routing
   /// never sends a path *through* a non-forwarding node (hosts, sources,

@@ -12,7 +12,7 @@ class Switch : public NetNode {
  public:
   Switch(Network& network, std::string name);
 
-  void onPacket(Packet packet) override;
+  void onPacket(Packet&& packet) override;
   [[nodiscard]] bool forwards() const override { return true; }
 
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }

@@ -9,7 +9,7 @@ namespace softqos::net {
 TrafficSink::TrafficSink(Network& network, std::string name)
     : NetNode(network, std::move(name)) {}
 
-void TrafficSink::onPacket(Packet packet) {
+void TrafficSink::onPacket(Packet&& packet) {
   bytes_ += packet.bytes;
   ++packets_;
 }
@@ -58,8 +58,6 @@ void TrafficSource::emitNext() {
     p.bytes = config_.packetBytes;
     p.messageBytes = config_.packetBytes;
     p.messageId = 0;  // cross traffic is never reassembled
-    p.lastFragment = false;
-    p.injectedAt = s.now();
     network_.forward(id(), std::move(p));
     ++sent_;
   }

@@ -23,7 +23,7 @@ class TrafficSink : public NetNode {
  public:
   TrafficSink(Network& network, std::string name);
 
-  void onPacket(Packet packet) override;
+  void onPacket(Packet&& packet) override;
 
   [[nodiscard]] std::int64_t bytesReceived() const { return bytes_; }
   [[nodiscard]] std::uint64_t packetsReceived() const { return packets_; }
@@ -40,7 +40,7 @@ class TrafficSource : public NetNode {
   TrafficSource(Network& network, std::string name, TrafficConfig config);
   ~TrafficSource() override;
 
-  void onPacket(Packet /*packet*/) override {}  // sources don't sink traffic
+  void onPacket(Packet&& /*packet*/) override {}  // sources don't sink traffic
 
   void start(NodeId destination);
   void stop();

@@ -12,7 +12,6 @@ void Socket::send(Message m) {
     ++sendDrops_;
     return;
   }
-  m.sentAt = sim_.now();
   transmit_(std::move(m));
 }
 

@@ -24,7 +24,6 @@ struct Message {
   std::uint64_t seq = 0;
   std::int64_t bytes = 0;
   std::string payload;
-  sim::SimTime sentAt = 0;
 };
 
 class Socket {

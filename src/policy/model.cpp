@@ -1,8 +1,30 @@
 #include "policy/model.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <string_view>
+
+#include "sim/text.hpp"
 
 namespace softqos::policy {
+
+namespace {
+
+/// True when `text` would open an oblig clause if it began a line: the
+/// parser reads a trimmed line that starts with one of these words and
+/// whitespace as a new clause, not as a continuation.
+bool opensClause(std::string_view text) {
+  const std::string_view line = sim::trim(text);
+  for (const std::string_view keyword : {"subject", "target", "on", "do"}) {
+    if (line.size() > keyword.size() && line.starts_with(keyword) &&
+        std::isspace(static_cast<unsigned char>(line[keyword.size()])) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 bool SensorInfo::monitors(const std::string& attribute) const {
   return std::find(attributes.begin(), attributes.end(), attribute) !=
@@ -60,8 +82,10 @@ std::string PolicySpec::toString() const {
   if (!requirement.starts_with('(')) requirement = "(" + requirement + ")";
   out += "\n  on not " + requirement + "\n  do ";
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i != 0) out += ";\n     ";
-    out += actions[i].toString();
+    const std::string action = actions[i].toString();
+    // An action that reads like a clause stays on the previous line.
+    if (i != 0) out += opensClause(action) ? "; " : ";\n     ";
+    out += action;
   }
   out += "\n}\n";
   return out;

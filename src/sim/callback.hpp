@@ -1,11 +1,12 @@
 // Small-buffer-optimized, move-only callable for the event kernel.
 //
 // std::function's inline buffer (16 bytes in libstdc++) is too small for the
-// closures the simulator actually schedules — a socket delivery captures a
-// continuation plus a Message (~130 bytes), a NIC hop captures a whole Packet
-// — so nearly every scheduled event paid a heap allocation. SmallCallback
-// stores every closure in place, in kInlineCapacity bytes; a closure that is
-// larger or not nothrow-movable does not compile.
+// closures the simulator actually schedules — a socket read captures a
+// reader, a continuation and a Message (120 bytes), a packet delivery its
+// node and a 48-byte fragment header — so nearly every scheduled event paid
+// a heap allocation. SmallCallback stores every closure in place, in
+// kInlineCapacity bytes; a closure that is larger or not nothrow-movable
+// does not compile.
 #pragma once
 
 #include <cstddef>
@@ -17,9 +18,10 @@ namespace softqos::sim {
 
 class SmallCallback {
  public:
-  /// Sized to hold the largest hot-path closure (socket delivery: a
-  /// std::function continuation + an osim::Message).
-  static constexpr std::size_t kInlineCapacity = 168;
+  /// Sized to hold the largest closure in the tree, Socket::recv's (the
+  /// reader, a std::function continuation and an osim::Message); every
+  /// event slot pays for it.
+  static constexpr std::size_t kInlineCapacity = 120;
 
   SmallCallback() = default;
 

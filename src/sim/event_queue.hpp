@@ -4,7 +4,7 @@
 // of inline 16-byte keys {when, seq << 24 | slot} orders them by (timestamp,
 // insertion sequence), so events at equal timestamps fire in insertion order
 // and whole-system runs stay bit-reproducible; sifts compare keys only and
-// never touch the ~200-byte slots. A per-slot position array finds an
+// never touch the 144-byte slots. A per-slot position array finds an
 // event's key for cancellation. EventId handles encode (slot, generation):
 // cancelling a stale handle after the slot was recycled is a safe no-op.
 // Cancellation removes the heap entry eagerly (no tombstones accumulate

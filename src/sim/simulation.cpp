@@ -229,7 +229,7 @@ void Simulation::drainMailbox(Shard& shard) {
     mail.swap(shard.mailbox);
   }
   if (mail.empty()) return;
-  // Sort keys, not the Mail records: each carries a 176-byte callback. The
+  // Sort keys, not the Mail records: each carries a 128-byte callback. The
   // keys are unique, so the order equals sorting the records themselves.
   std::vector<MailKey>& order = shard.mailOrder;
   order.clear();

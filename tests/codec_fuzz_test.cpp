@@ -277,12 +277,18 @@ oblig NotifyQoSViolation {
   nested.customExpr = policy::BoolExpr::notOf(policy::BoolExpr::orOf(
       {policy::BoolExpr::var(1), policy::BoolExpr::notOf(
                                      policy::BoolExpr::var(0))}));
+  // An action that starts with a clause keyword stays on the `do` line.
+  const std::string clauseLike =
+      "oblig ClauseLike {\n  subject x\n  target t\n  on not (a > 1)\n"
+      "  do s->read(out a); target t->adjust(b)\n}\n";
   const auto print = [](const std::vector<policy::PolicySpec>& specs) {
     std::string out;
     for (const policy::PolicySpec& spec : specs) out += spec.toString();
     return out;
   };
-  fuzz("oblig", {example.toString() + either.toString() + nested.toString()},
+  fuzz("oblig",
+       {example.toString() + either.toString() + nested.toString(),
+        clauseLike},
        [&](const std::string& text) {
          std::vector<policy::PolicySpec> once;
          try {

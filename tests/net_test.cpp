@@ -2,6 +2,7 @@
 // cross traffic, and the management RPC layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <set>
@@ -165,8 +166,7 @@ TEST_F(TwoHosts, LostFragmentLosesWholeMessage) {
 
 TEST_F(TwoHosts, UnboundPortCountsDrop) {
   net.sendToHost("a", "b", 999, osim::Message{.kind = "x", .seq = 0,
-                                              .bytes = 10, .payload = "",
-                                              .sentAt = 0});
+                                              .bytes = 10, .payload = ""});
   s.runAll();
   EXPECT_EQ(net.nicForHost("b")->unboundDrops(), 1u);
 }
@@ -192,41 +192,73 @@ TEST_F(TwoHosts, CorruptedSingleFragmentMessageCountsCorruptDrop) {
   EXPECT_EQ(nb->incompleteMessages(), 0u);
 }
 
-TEST(Reassembly, DroppedFragmentCountsIncompleteMessage) {
+/// Host a sends to host b's port 200 through a switch; a's uplink queue
+/// holds `queueBytes`. Records the size of every delivered message.
+struct NarrowUplink {
   sim::Simulation s;
-  Network net(s);
-  osim::Host ha(s, "a");
-  osim::Host hb(s, "b");
-  Switch sw(net, "sw");
+  Network net{s};
+  osim::Host ha{s, "a"};
+  osim::Host hb{s, "b"};
+  Switch sw{net, "sw"};
   Nic& na = net.attachHost(ha);
   Nic& nb = net.attachHost(hb);
-  // A queue smaller than the 1500-byte MTU drops every full fragment and
-  // passes a short last one.
-  ChannelConfig narrow = slowLink();
-  narrow.queueCapacityBytes = 1400;
-  net.link(na, sw, narrow);
-  net.link(nb, sw, slowLink());
-  auto sa = ha.createSocket();
-  auto sb = hb.createSocket();
-  net.connect(sa, ha, 100, sb, hb, 200);
-  int delivered = 0;
-  sb->setDaemonReceiver([&](osim::Message) { ++delivered; });
+  std::shared_ptr<osim::Socket> sa = ha.createSocket();
+  std::vector<std::int64_t> delivered;
 
-  osim::Message m;
-  m.bytes = 2000;  // fragments of 1500 (dropped) and 500 (arrives)
-  sa->send(std::move(m));
-  s.runAll();
-  EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(nb.incompleteMessages(), 1u);
-  EXPECT_EQ(net.channel(na.id(), sw.id())->drops(), 1u);
+  explicit NarrowUplink(std::int64_t queueBytes) {
+    ChannelConfig narrow = slowLink();
+    narrow.queueCapacityBytes = queueBytes;
+    net.link(na, sw, narrow);
+    net.link(nb, sw, slowLink());
+    auto sb = hb.createSocket();
+    net.connect(sa, ha, 100, sb, hb, 200);
+    sb->setDaemonReceiver(
+        [this](osim::Message m) { delivered.push_back(m.bytes); });
+  }
 
-  osim::Message small;
-  small.bytes = 900;  // one fragment, under the queue capacity
-  sa->send(std::move(small));
-  s.runAll();
-  EXPECT_EQ(delivered, 1);
-  EXPECT_EQ(nb.incompleteMessages(), 1u);
-  EXPECT_EQ(nb.corruptDrops(), 0u);
+  void send(std::int64_t bytes) {
+    osim::Message m;
+    m.bytes = bytes;
+    sa->send(std::move(m));
+  }
+  [[nodiscard]] std::uint64_t drops() {
+    return net.channel(na.id(), sw.id())->drops();
+  }
+};
+
+TEST(Reassembly, DroppedFragmentCountsIncompleteMessage) {
+  {
+    // A queue smaller than the 1500-byte MTU drops every full fragment and
+    // passes a short last one.
+    NarrowUplink path(1400);
+    path.send(2000);  // fragments of 1500 (dropped) and 500 (arrives)
+    path.s.runAll();
+    EXPECT_TRUE(path.delivered.empty());
+    EXPECT_EQ(path.nb.incompleteMessages(), 1u);
+    EXPECT_EQ(path.drops(), 1u);
+
+    path.send(900);  // one fragment, under the queue capacity
+    path.s.runAll();
+    EXPECT_EQ(path.delivered, (std::vector<std::int64_t>{900}));
+    EXPECT_EQ(path.nb.incompleteMessages(), 1u);
+    EXPECT_EQ(path.nb.corruptDrops(), 0u);
+  }
+  {
+    // While a 1000-byte message holds the transmitter, the queue takes a
+    // 3000-byte message's first 1500-byte fragment but not its last, which
+    // carries the message: the drop takes the message with it.
+    NarrowUplink path(2000);
+    path.send(1000);
+    path.send(3000);
+    path.s.runAll();
+    EXPECT_EQ(path.delivered, (std::vector<std::int64_t>{1000}));
+    EXPECT_EQ(path.drops(), 1u);
+    EXPECT_EQ(path.nb.corruptDrops(), 0u);
+
+    path.send(900);
+    path.s.runAll();
+    EXPECT_EQ(path.delivered, (std::vector<std::int64_t>{1000, 900}));
+  }
 }
 
 // ---- Routing ----
@@ -425,8 +457,7 @@ TEST(Routing, UnreachableDestinationCountsDrop) {
   net.attachHost(hb);  // no links at all
   EXPECT_TRUE(net.sendToHost("a", "b", 1, osim::Message{.kind = "x", .seq = 0,
                                                         .bytes = 10,
-                                                        .payload = "",
-                                                        .sentAt = 0}));
+                                                        .payload = ""}));
   s.runAll();
   EXPECT_GT(net.unreachableDrops(), 0u);
 }

@@ -169,7 +169,7 @@ class RecordingNode : public net::NetNode {
   RecordingNode(net::Network& network, std::string name)
       : NetNode(network, std::move(name)) {}
 
-  void onPacket(net::Packet packet) override {
+  void onPacket(net::Packet&& packet) override {
     std::ostringstream row;
     row << network().sim().now() << '|' << packet.src << '|' << packet.bytes;
     log.push_back(row.str());
@@ -225,7 +225,6 @@ RingResult runRing(std::uint64_t seed, unsigned nodes, unsigned shards,
           p.src = src;
           p.dst = dst;
           p.bytes = 200 + static_cast<std::int64_t>(stream->uniformInt(0, 1000));
-          p.injectedAt = net.sim().now();
           net.forward(src, std::move(p));
           net.sim().after(sim::msec(7) + sim::usec(211 * i), [&net, src, dst,
                                                              stream, i] {

@@ -222,16 +222,26 @@ TEST(ObligParser, ErrorsAreDiagnosed) {
 }
 
 TEST(ObligParser, RoundTripThroughToString) {
-  // Example 1 is a flat conjunction; the second policy nests OR and NOT.
+  // Example 1 is a flat conjunction; the second policy nests OR and NOT;
+  // the third has an action that starts with a clause keyword, which must
+  // not come back as a target clause.
   const std::string nested =
       "oblig Nested {\n subject x\n"
       " on not ((a > 1 AND b < 2) OR c > 3)\n do s->read(out a)\n}";
-  for (const std::string& text : {std::string(kExample1), nested}) {
+  const std::string clauseLike =
+      "oblig ClauseLike {\n subject x\n target t\n on not (a > 1)\n"
+      " do s->read(out a); target t->adjust(b)\n}";
+  for (const std::string& text :
+       {std::string(kExample1), nested, clauseLike}) {
     SCOPED_TRACE(text);
     const PolicySpec spec = parseObligation(text);
     const PolicySpec again = parseObligation(spec.toString());
     EXPECT_EQ(again.name, spec.name);
-    EXPECT_EQ(again.actions.size(), spec.actions.size());
+    EXPECT_EQ(again.targets, spec.targets);
+    ASSERT_EQ(again.actions.size(), spec.actions.size());
+    for (std::size_t i = 0; i < spec.actions.size(); ++i) {
+      EXPECT_EQ(again.actions[i].toString(), spec.actions[i].toString());
+    }
     EXPECT_EQ(again.combinator, spec.combinator);
     ASSERT_EQ(again.conditions.size(), spec.conditions.size());
     for (std::size_t i = 0; i < spec.conditions.size(); ++i) {
